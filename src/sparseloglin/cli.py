@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage, 3 data error, 4 model parse error,
 """
 
 import argparse
+import math
 import sys
 
 from . import datasets
@@ -25,6 +26,14 @@ EXIT_DATA = 3
 EXIT_FORMULA = 4
 EXIT_NUMERICAL = 5
 EXIT_ORACLE = 6
+
+
+def positive_real(text):
+    """argparse type for tolerances: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def make_parser():
@@ -56,9 +65,9 @@ def make_parser():
         help="also run the independent per-cell LP oracle and report agreement",
     )
     parser.add_argument("--dump-design", action="store_true", help="print the design matrix and exit")
-    parser.add_argument("--tol-lp", type=float, default=SUPPORT_TOL, metavar="REAL",
+    parser.add_argument("--tol-lp", type=positive_real, default=SUPPORT_TOL, metavar="REAL",
                         help="LP support tolerance (default %(default)g)")
-    parser.add_argument("--tol-rank", type=float, default=None, metavar="REAL",
+    parser.add_argument("--tol-rank", type=positive_real, default=None, metavar="REAL",
                         help="relative rank tolerance (default: ncols * machine epsilon)")
     return parser
 

@@ -12,11 +12,10 @@ The log-likelihood convention is l(m) = sum n log m - sum m with
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _kernels
 from .design import build_design, matrix_rank
 
 __all__ = [
@@ -30,6 +29,12 @@ __all__ = [
     "cbic",
     "standard_errors",
 ]
+
+
+# _newton status codes
+CONVERGED = 0
+MAX_ITER = 1
+STALLED = 2
 
 
 class FitError(RuntimeError):
@@ -106,6 +111,71 @@ def _select_independent_columns(xf, order, rel_tol=None):
             basis.append(r / rnorm)
             kept.append(int(j))
     return kept
+
+
+def _newton(X, y, theta0, grad_tol, step_tol, max_iter):
+    """Maximize the Poisson log-likelihood y'(X theta) - sum(exp(X theta)).
+
+    Damped Newton: full step first, halved until the objective stops
+    getting worse (a 1e-12 relative band lets the final steps polish
+    the gradient once the objective is flat to machine precision).
+
+    Convergence requires BOTH a small gradient and a small Newton step.
+    When the maximizer lies on the boundary (extended-MLE case with all
+    cells included) the gradient still vanishes along the divergent
+    path while the step stays O(1), so a gradient-only test would
+    silently accept a diverging parameter vector.
+
+    Returns (theta, status, n_iter, grad_norm).
+    """
+    n_rows, d = X.shape
+    theta = theta0.copy()
+    eta = X @ theta
+    if np.max(eta) > 700.0:
+        # start must be evaluable; caller guarantees a sane theta0
+        return theta, STALLED, 0, np.inf
+    mu = np.exp(eta)
+    f = y @ eta - mu.sum()
+
+    status = MAX_ITER
+    it = 0
+    gnorm = np.inf
+    while it < max_iter:
+        grad = X.T @ (y - mu)
+        gnorm = np.max(np.abs(grad))
+
+        H = X.T @ (X * mu.reshape(-1, 1))
+        # tiny ridge keeps the solve well-posed when means collapse
+        lam = 1e-12 * max(np.trace(H) / d, 1.0)
+        H[np.diag_indices(d)] += lam
+        delta = np.linalg.solve(H, grad)
+
+        if gnorm <= grad_tol and np.max(np.abs(delta)) <= step_tol * (1.0 + np.max(np.abs(theta))):
+            status = CONVERGED
+            break
+
+        step = 1.0
+        accepted = False
+        f_floor = f - 1e-12 * (1.0 + abs(f))
+        for _ in range(60):
+            eta_try = X @ (theta + step * delta)
+            if np.max(eta_try) <= 700.0:
+                mu_try = np.exp(eta_try)
+                f_try = y @ eta_try - mu_try.sum()
+                if f_try > f_floor:
+                    theta = theta + step * delta
+                    eta = eta_try
+                    mu = mu_try
+                    f = max(f, f_try)
+                    accepted = True
+                    break
+            step *= 0.5
+        it += 1
+        if not accepted:
+            status = STALLED
+            break
+
+    return theta, status, it, gnorm
 
 
 def loglik(fitted_means, counts):
@@ -208,12 +278,12 @@ def fit(
     if grad_tol is None:
         grad_tol = 1e-10 * max(1.0, float(total))
 
-    theta, status, n_iter, gnorm = _kernels.newton_poisson_core(
+    theta, status, n_iter, gnorm = _newton(
         x_star, nf, theta0, float(grad_tol), 1e-8, int(max_iter)
     )
-    converged = status == _kernels.CONVERGED
+    converged = status == CONVERGED
     if require_convergence and not converged:
-        how = "stalled" if status == _kernels.STALLED else f"hit the {max_iter}-iteration cap"
+        how = "stalled" if status == STALLED else f"hit the {max_iter}-iteration cap"
         raise FitError(
             f"fit {how} after {n_iter} iterations (grad norm {gnorm:.3e}); "
             "if the MLE may not exist, fit on the facial set"
@@ -261,12 +331,10 @@ def fit(
         n_face_cells=n_face,
         residual_df=n_face - d_face,
         total=total,
-        bic=ll - 0.5 * d * math.log(total),
-        cbic=ll - 0.5 * d_face * math.log(total),
         converged=converged,
         n_iter=int(n_iter),
         moment_residual=moment_residual,
         in_face=in_face,
         design=design,
     )
-    return result
+    return replace(result, bic=bic(result), cbic=cbic(result))

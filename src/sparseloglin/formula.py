@@ -89,22 +89,13 @@ def _parse_term(text):
         return []
     if "*" in text and ":" in text:
         raise FormulaError(f"term {text!r} mixes '*' and ':'")
-    if "*" in text:
-        names = [n.strip() for n in text.split("*")]
-        crossed = True
-    elif ":" in text:
-        names = [n.strip() for n in text.split(":")]
-        crossed = False
-    else:
-        names = [text]
-        crossed = False
+    # Both forms yield the same hierarchical closure; the distinction
+    # only matters for non-hierarchical models, which are out of scope.
+    names = [n.strip() for n in text.split("*" if "*" in text else ":")]
     if any(not n.isidentifier() for n in names):
         raise FormulaError(f"bad factor name in term {text!r}")
     if len(set(names)) != len(names):
         raise FormulaError(f"repeated factor in term {text!r}")
-    # Both forms yield the same hierarchical closure; the distinction
-    # only matters for non-hierarchical models, which are out of scope.
-    del crossed
     return [Term(names)]
 
 

@@ -1,23 +1,28 @@
 """Equality-constrained nonnegative linear programs.
 
 Solves  max c'a  subject to  A a = b, a >= 0  with a self-contained
-two-phase dense simplex using Bland's anti-cycling rule, so pivoting
-(and therefore the returned vertex and its support) is deterministic.
-Phase 1 introduces one artificial variable per constraint row; rows
-whose artificial cannot be pivoted out are redundant and dropped.
+two-phase dense simplex.  ``_simplex`` minimizes over a dense tableau
+in place with Bland's anti-cycling rule (numpy scans pick the entering
+column and the leaving row), so pivoting, and therefore the returned
+vertex and its support, is deterministic.  Phase 1 introduces one
+artificial variable per constraint row; rows whose artificial cannot be
+pivoted out are redundant and dropped.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-
 __all__ = ["LinearProgram", "LpSolution", "SimplexError", "solve", "FEASIBILITY_TOL", "SUPPORT_TOL"]
 
 # Constraint data here comes from 0/1 tables, so all scales are O(1).
 FEASIBILITY_TOL = 1e-9
 SUPPORT_TOL = 1e-8
+
+# _simplex status codes
+OPTIMAL = 0
+UNBOUNDED = 3
+ITERATION_LIMIT = 5
 
 
 class SimplexError(RuntimeError):
@@ -72,9 +77,56 @@ class LpSolution:
     pivots: int
 
 
+def _pivot(T, basis, row, col):
+    """Pivot the tableau on (row, col): column ``col`` enters the basis at ``row``."""
+    T[row, :] /= T[row, col]
+    c = T[:, col].copy()
+    c[row] = 0.0
+    T -= np.outer(c, T[row, :])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
+def _simplex(T, basis, tol, max_iter):
+    """Minimize over a dense tableau in place using Bland's rule.
+
+    ``T`` is (m+1, n+1): rows 0..m-1 hold [A | b] with b >= 0 and an
+    identity embedded at the columns listed in ``basis``; the last row
+    holds [reduced costs | -objective].  Entering variable: lowest
+    column index with reduced cost below -tol.  Leaving variable:
+    minimum ratio, ties broken by lowest basic-variable index.  Returns
+    (status, pivot_count).
+    """
+    m = T.shape[0] - 1
+    n = T.shape[1] - 1
+    pivots = 0
+    while True:
+        entering = T[m, :n] < -tol
+        col = int(np.argmax(entering))
+        if not entering[col]:
+            return OPTIMAL, pivots
+
+        a = T[:m, col]
+        rows = np.flatnonzero(a > tol)
+        ratios = T[rows, n] / a[rows]
+        best = ratios.min(initial=np.inf)
+        if best == np.inf:
+            return UNBOUNDED, pivots
+        # Degenerate ties are resolved toward the lowest basic-variable
+        # index; together with the entering rule this is Bland's
+        # anti-cycling pivot.
+        ties = rows[ratios <= best + 1e-9 * (1.0 + abs(best))]
+        _pivot(T, basis, ties[np.argmin(basis[ties])], col)
+
+        pivots += 1
+        if pivots >= max_iter:
+            return ITERATION_LIMIT, pivots
+
+
 def _run(T, basis, tol, max_iter, phase):
-    status, pivots = _kernels.simplex_core(T, basis, tol, max_iter)
-    if status == _kernels.ITERATION_LIMIT:
+    status, pivots = _simplex(T, basis, tol, max_iter)
+    if status == ITERATION_LIMIT:
         raise SimplexError(f"phase {phase}: pivot limit {max_iter} exhausted")
     return status, pivots
 
@@ -119,48 +171,34 @@ def solve(lp, feasibility_tol=FEASIBILITY_TOL, support_tol=SUPPORT_TOL, pivot_to
     keep_rows = np.ones(m, dtype=bool)
     for i in range(m):
         if basis[i] >= n:
-            row = T[i, :n]
-            j = -1
-            for k in range(n):
-                if abs(row[k]) > 1e-9:
-                    j = k
-                    break
-            if j < 0:
+            nonzero = np.flatnonzero(np.abs(T[i, :n]) > 1e-9)
+            if nonzero.size == 0:
                 keep_rows[i] = False
                 continue
-            piv = T[i, j]
-            T[i, :] /= piv
-            col = T[:, j].copy()
-            col[i] = 0.0
-            T -= np.outer(col, T[i, :])
-            T[:, j] = 0.0
-            T[i, j] = 1.0
-            basis[i] = j
+            _pivot(T, basis, i, nonzero[0])
     if not keep_rows.all():
         T = np.vstack([T[:m][keep_rows], T[-1:]])
         basis = basis[keep_rows]
         m = int(keep_rows.sum())
 
     # Phase 2: drop artificial columns, install the real objective
-    # (negated: the kernel minimizes) reduced through the current basis.
+    # (negated: _simplex minimizes) reduced through the current basis.
     T2 = np.zeros((m + 1, n + 1))
     T2[:m, :n] = T[:m, :n]
     T2[:m, -1] = T[:m, -1]
     T2[-1, :n] = -lp.objective
     for i in range(m):
         T2[-1, :] -= T2[-1, basis[i]] * T2[i, :]
-    T2 = np.ascontiguousarray(T2)
 
     status, pivots = _run(T2, basis, pivot_tol, max_iter, phase=2)
     total_pivots += pivots
-    if status == _kernels.UNBOUNDED:
+    if status == UNBOUNDED:
         zero = np.zeros(n)
         return LpSolution("unbounded", np.inf, zero, np.empty(0, dtype=np.int64), np.nan, total_pivots)
 
     x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T2[i, -1]
+    real = basis < n
+    x[basis[real]] = T2[:m, -1][real]
     # vertex coordinates are >= 0 up to roundoff; clamp the dust
     x[(x < 0) & (x > -support_tol)] = 0.0
     if (x < 0).any():

@@ -120,19 +120,6 @@ class ContingencyTable:
         """Flat positions of the sampling zeros."""
         return np.flatnonzero(self.counts == 0)
 
-    def marginal(self, subset):
-        """Marginal count vector over the named factor subset.
-
-        The result is ordered canonically over the subset's product
-        space, keeping the subset factors in table factor order.  The
-        empty subset yields the length-1 vector (N,).
-        """
-        return marginal(self, subset)
-
-    def binarize(self):
-        """Indicator table: 1 where the count is positive, else 0."""
-        return binarize(self)
-
 
 def _levels_from_column(values):
     # First-appearance order, unless every label parses as a number,
@@ -225,6 +212,7 @@ def marginal(table, subset):
 
     Returns the marginal count vector over the subset's product space
     in canonical order (subset factors kept in table factor order).
+    The empty subset yields the length-1 vector (N,).
     """
     subset = set(subset)
     unknown = subset - set(table.factor_names)

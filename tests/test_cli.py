@@ -137,3 +137,13 @@ class TestExitCodes:
     def test_tolerance_flags_accepted(self):
         code, out, _ = run_cli(*HABERMAN_ARGS, "--tol-lp", "1e-7", "--tol-rank", "1e-10")
         assert code == 0
+
+    @pytest.mark.parametrize("flag", ["--tol-lp", "--tol-rank"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, flag, value, capsys):
+        code, out, _ = run_cli(
+            "--dataset", "example3x3x3", "--formula", "[ab][ac][bc]", "--facial-only", flag, value
+        )
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert flag in capsys.readouterr().err

@@ -17,6 +17,8 @@ from sparseloglin import (
     standard_errors,
 )
 
+from sparseloglin.fit import CONVERGED, _newton
+
 from conftest import iter_instances, make_table
 
 
@@ -99,6 +101,15 @@ class TestClosedForms:
         for coef in res.aliased_columns():
             assert math.isnan(coef.estimate)
             assert math.isnan(coef.std_error)
+
+
+class TestNewton:
+    def test_simple_intercept_model(self):
+        X = np.ones((4, 1))
+        y = np.array([1.0, 2.0, 3.0, 2.0])
+        theta, status, _it, _gnorm = _newton(X, y, np.zeros(1), 1e-12, 1e-10, 100)
+        assert status == CONVERGED
+        assert theta[0] == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 class TestLoglikConventions:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparseloglin import LinearProgram, binarize, build_design, parse_generators, solve, sufficient_statistic
+from sparseloglin import lp as lpmod
 
 from conftest import make_table
 
@@ -30,6 +31,81 @@ def brute_force_max(c, a_mat, b, tol=1e-9):
         if best is None or val > best:
             best = val
     return best
+
+
+def bland_reference(T, basis, tol, max_iter):
+    """Scalar-loop Bland simplex: the reference that lp._simplex must match.
+
+    Same contract as lp._simplex; every comparison is made one entry at
+    a time, so each pivot decision is plain to read.
+    """
+    m = T.shape[0] - 1
+    n = T.shape[1] - 1
+    pivots = 0
+    while True:
+        pivcol = -1
+        for j in range(n):
+            if T[m, j] < -tol:
+                pivcol = j
+                break
+        if pivcol < 0:
+            return lpmod.OPTIMAL, pivots
+
+        best = np.inf
+        for i in range(m):
+            a = T[i, pivcol]
+            if a > tol:
+                r = T[i, n] / a
+                if r < best:
+                    best = r
+        if best == np.inf:
+            return lpmod.UNBOUNDED, pivots
+        thresh = best + 1e-9 * (1.0 + abs(best))
+        pivrow = -1
+        for i in range(m):
+            a = T[i, pivcol]
+            if a > tol:
+                r = T[i, n] / a
+                if r <= thresh and (pivrow < 0 or basis[i] < basis[pivrow]):
+                    pivrow = i
+
+        piv = T[pivrow, pivcol]
+        T[pivrow, :] = T[pivrow, :] / piv
+        col = T[:, pivcol].copy()
+        col[pivrow] = 0.0
+        T -= np.outer(col, T[pivrow, :])
+        T[:, pivcol] = 0.0
+        T[pivrow, pivcol] = 1.0
+        basis[pivrow] = pivcol
+
+        pivots += 1
+        if pivots >= max_iter:
+            return lpmod.ITERATION_LIMIT, pivots
+
+
+def random_phase2_tableau(rng, m, n, integer=False):
+    """Feasible canonical tableau: identity basis in the last m columns.
+
+    With ``integer`` the entries are small integers and about a quarter
+    of the rhs entries are 0.  That makes exact degenerate ratio ties,
+    and ties that after a few pivots differ only by rounding, which the
+    1e-9 band of the tie-break absorbs.
+    """
+    if integer:
+        a = rng.integers(-3, 4, size=(m, n - m)).astype(float)
+        b = rng.integers(0, 4, size=m).astype(float)
+        c = rng.integers(-3, 4, size=n - m).astype(float)
+    else:
+        a = rng.normal(size=(m, n - m))
+        b = rng.random(m) + 0.1
+        c = rng.normal(size=n - m)
+    T = np.zeros((m + 1, n + 1))
+    T[:m, : n - m] = a
+    T[:m, n - m : n] = np.eye(m)
+    T[:m, -1] = b
+    T[-1, : n - m] = c
+    basis = np.arange(n - m, n, dtype=np.int64)
+    return T, basis
 
 
 def facial_lp(table, model, active):
@@ -106,6 +182,42 @@ class TestEdgeCases:
         sol = solve(lp)
         assert sol.status == "optimal"
         assert np.allclose(sol.point, [1.0, 4.0], atol=1e-9)
+
+
+class TestSimplex:
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_matches_scalar_reference(self, integer):
+        rng = np.random.default_rng(3)
+        statuses = set()
+        for _ in range(1000):
+            m = int(rng.integers(1, 8))
+            n = int(rng.integers(m + 1, m + 10))
+            T, basis = random_phase2_tableau(rng, m, n, integer)
+            T_ref, basis_ref = T.copy(), basis.copy()
+            got = lpmod._simplex(T, basis, 1e-10, 1000)
+            want = bland_reference(T_ref, basis_ref, 1e-10, 1000)
+            # identical pivot decisions: same status, pivot count, basis
+            # and, since the arithmetic is the same, the same tableau
+            assert got == want
+            assert np.array_equal(basis, basis_ref)
+            assert np.array_equal(T, T_ref)
+            statuses.add(got[0])
+        assert statuses == {lpmod.OPTIMAL, lpmod.UNBOUNDED}
+
+    def test_iteration_limit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            T, basis = random_phase2_tableau(rng, 4, 10)
+            T_ref, basis_ref = T.copy(), basis.copy()
+            assert lpmod._simplex(T, basis, 1e-10, 1) == bland_reference(T_ref, basis_ref, 1e-10, 1)
+            assert np.array_equal(T, T_ref)
+
+    def test_optimal_tableau_untouched(self):
+        T = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0], [0.5, 0.25, 0.0]])
+        basis = np.array([0, 1], dtype=np.int64)
+        status, pivots = lpmod._simplex(T.copy(), basis.copy(), 1e-10, 100)
+        assert status == lpmod.OPTIMAL
+        assert pivots == 0
 
 
 class TestDeterminism:
