@@ -219,6 +219,14 @@ class TestSimplex:
         assert status == lpmod.OPTIMAL
         assert pivots == 0
 
+    def test_unbounded_detected(self):
+        # entering column has no positive entries
+        T = np.zeros((2, 4))
+        T[0] = [1.0, -1.0, 0.0, 2.0]
+        T[1] = [0.0, -1.0, 0.0, 0.0]
+        status, _ = lpmod._simplex(T, np.array([0], dtype=np.int64), 1e-10, 100)
+        assert status == lpmod.UNBOUNDED
+
 
 class TestDeterminism:
     def test_same_support_across_solves(self, table3x3x3):
