@@ -36,8 +36,22 @@ def positive_real(text):
     return value
 
 
-def make_parser():
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that writes its usage errors to ``err``."""
+
+    def __init__(self, err, **kwargs):
+        super().__init__(**kwargs)
+        self.err = err
+
+    def error(self, message):
+        self.print_usage(self.err)
+        self.err.write(f"{self.prog}: error: {message}\n")
+        sys.exit(EXIT_USAGE)
+
+
+def make_parser(err=sys.stderr):
+    parser = _Parser(
+        err,
         prog="sparseloglin",
         description=(
             "Fit hierarchical log-linear models to sparse contingency tables: "
@@ -96,7 +110,7 @@ def dump_design(design, out):
 
 
 def main(argv=None, out=sys.stdout, err=sys.stderr):
-    parser = make_parser()
+    parser = make_parser(err)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

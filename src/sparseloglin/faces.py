@@ -82,6 +82,7 @@ def find_facial_set(
     active = table.counts == 0  # candidate non-face cells, the loop's A
     removed_trace = []
     iterations = 0
+    basis = None  # every LP shares X'a = t', so each starts from the last optimum
 
     if not active.any():
         in_face = np.ones(n_cells, dtype=bool)
@@ -97,7 +98,7 @@ def find_facial_set(
     while True:
         c = active.astype(np.float64)
         problem = lp.LinearProgram(c[perm], xt[:, perm], t_prime)
-        sol = lp.solve(problem, support_tol=support_tol)
+        sol = lp.solve(problem, support_tol=support_tol, start=basis)
         iterations += 1
         if sol.status != "optimal":
             # the binarized counts themselves are feasible, and the
@@ -107,6 +108,7 @@ def find_facial_set(
             raise lp.SimplexError(
                 f"facial LP objective {sol.objective_value} exceeds bound {t_prime[0]}"
             )
+        basis = sol.basis
 
         point = sol.point[inv_perm]
         removable = np.flatnonzero(active & (point > support_tol))
@@ -162,12 +164,14 @@ def per_cell_oracle(
 
     in_face = table.counts > 0
     zeros = np.flatnonzero(~in_face)
+    basis = None  # the cells' LPs share X'a = t'; each starts from the last optimum
     for i in zeros:
         c = np.zeros(n_cells)
         c[i] = 1.0
-        sol = lp.solve(lp.LinearProgram(c, xt, t_prime), support_tol=support_tol)
+        sol = lp.solve(lp.LinearProgram(c, xt, t_prime), support_tol=support_tol, start=basis)
         if sol.status != "optimal":
             raise lp.SimplexError(f"per-cell LP returned {sol.status}; solver fault")
+        basis = sol.basis
         if sol.objective_value > support_tol:
             in_face[i] = True
 

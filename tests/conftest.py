@@ -18,7 +18,7 @@ def table3x3x3():
 
 
 def make_table(shape, counts):
-    names = "abcdefgh"
+    names = "abcdefghij"
     factors = tuple(
         FactorSpec(names[k], tuple(str(v) for v in range(n))) for k, n in enumerate(shape)
     )

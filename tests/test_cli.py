@@ -126,9 +126,10 @@ class TestExitCodes:
         assert code == cli.EXIT_FORMULA
 
     def test_unknown_dataset_rejected_by_parser(self, capsys):
-        code, _out, _err = run_cli("--dataset", "nope", "--formula", "freq ~ a")
+        code, _out, err = run_cli("--dataset", "nope", "--formula", "freq ~ a")
         assert code == cli.EXIT_USAGE
-        capsys.readouterr()
+        assert "nope" in err
+        assert capsys.readouterr().err == ""
 
     def test_unknown_factor_is_data_error(self):
         code, _, err = run_cli("--dataset", "haberman", "--formula", "freq ~ a*q")
@@ -141,9 +142,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag", ["--tol-lp", "--tol-rank"])
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_tolerance_must_be_finite_and_positive(self, flag, value, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             "--dataset", "example3x3x3", "--formula", "[ab][ac][bc]", "--facial-only", flag, value
         )
         assert code == cli.EXIT_USAGE
         assert out == ""
-        assert flag in capsys.readouterr().err
+        assert flag in err
+        assert capsys.readouterr().err == ""

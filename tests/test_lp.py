@@ -33,11 +33,12 @@ def brute_force_max(c, a_mat, b, tol=1e-9):
     return best
 
 
-def bland_reference(T, basis, tol, max_iter):
-    """Scalar-loop Bland simplex: the reference that lp._simplex must match.
+def bland_reference(T, basis, max_iter):
+    """Scalar-loop Bland simplex: the reference for lp._simplex's Bland path.
 
-    Same contract as lp._simplex; every comparison is made one entry at
-    a time, so each pivot decision is plain to read.
+    Same contract as lp._simplex with ``stall_pivots=0``; every
+    comparison is made one entry at a time, so each pivot decision is
+    plain to read.
     """
     m = T.shape[0] - 1
     n = T.shape[1] - 1
@@ -45,7 +46,7 @@ def bland_reference(T, basis, tol, max_iter):
     while True:
         pivcol = -1
         for j in range(n):
-            if T[m, j] < -tol:
+            if T[m, j] < -lpmod.COST_TOL:
                 pivcol = j
                 break
         if pivcol < 0:
@@ -54,7 +55,7 @@ def bland_reference(T, basis, tol, max_iter):
         best = np.inf
         for i in range(m):
             a = T[i, pivcol]
-            if a > tol:
+            if a > lpmod.PIVOT_TOL:
                 r = T[i, n] / a
                 if r < best:
                     best = r
@@ -64,7 +65,7 @@ def bland_reference(T, basis, tol, max_iter):
         pivrow = -1
         for i in range(m):
             a = T[i, pivcol]
-            if a > tol:
+            if a > lpmod.PIVOT_TOL:
                 r = T[i, n] / a
                 if r <= thresh and (pivrow < 0 or basis[i] < basis[pivrow]):
                     pivrow = i
@@ -194,8 +195,8 @@ class TestSimplex:
             n = int(rng.integers(m + 1, m + 10))
             T, basis = random_phase2_tableau(rng, m, n, integer)
             T_ref, basis_ref = T.copy(), basis.copy()
-            got = lpmod._simplex(T, basis, 1e-10, 1000)
-            want = bland_reference(T_ref, basis_ref, 1e-10, 1000)
+            got = lpmod._simplex(T, basis, 1000, stall_pivots=0)
+            want = bland_reference(T_ref, basis_ref, 1000)
             # identical pivot decisions: same status, pivot count, basis
             # and, since the arithmetic is the same, the same tableau
             assert got == want
@@ -204,18 +205,39 @@ class TestSimplex:
             statuses.add(got[0])
         assert statuses == {lpmod.OPTIMAL, lpmod.UNBOUNDED}
 
+    @pytest.mark.parametrize("stall_pivots", [lpmod.STALL_PIVOTS, 1])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_dantzig_matches_reference_optimum(self, integer, stall_pivots):
+        # stall_pivots=1 hands degenerate stretches to Bland's rule and
+        # back at almost every pivot
+        rng = np.random.default_rng(3)
+        statuses = set()
+        for _ in range(1000):
+            m = int(rng.integers(1, 8))
+            n = int(rng.integers(m + 1, m + 10))
+            T, basis = random_phase2_tableau(rng, m, n, integer)
+            T_ref, basis_ref = T.copy(), basis.copy()
+            status, _ = lpmod._simplex(T, basis, 1000, stall_pivots=stall_pivots)
+            want, _ = bland_reference(T_ref, basis_ref, 1000)
+            assert status == want
+            if status == lpmod.OPTIMAL:
+                assert abs(T[-1, -1] - T_ref[-1, -1]) <= 1e-9
+                assert (T[:-1, -1] >= -1e-9).all()
+            statuses.add(status)
+        assert statuses == {lpmod.OPTIMAL, lpmod.UNBOUNDED}
+
     def test_iteration_limit(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             T, basis = random_phase2_tableau(rng, 4, 10)
             T_ref, basis_ref = T.copy(), basis.copy()
-            assert lpmod._simplex(T, basis, 1e-10, 1) == bland_reference(T_ref, basis_ref, 1e-10, 1)
+            assert lpmod._simplex(T, basis, 1, stall_pivots=0) == bland_reference(T_ref, basis_ref, 1)
             assert np.array_equal(T, T_ref)
 
     def test_optimal_tableau_untouched(self):
         T = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0], [0.5, 0.25, 0.0]])
         basis = np.array([0, 1], dtype=np.int64)
-        status, pivots = lpmod._simplex(T.copy(), basis.copy(), 1e-10, 100)
+        status, pivots = lpmod._simplex(T.copy(), basis.copy(), 100)
         assert status == lpmod.OPTIMAL
         assert pivots == 0
 
@@ -224,8 +246,20 @@ class TestSimplex:
         T = np.zeros((2, 4))
         T[0] = [1.0, -1.0, 0.0, 2.0]
         T[1] = [0.0, -1.0, 0.0, 0.0]
-        status, _ = lpmod._simplex(T, np.array([0], dtype=np.int64), 1e-10, 100)
+        status, _ = lpmod._simplex(T, np.array([0], dtype=np.int64), 100)
         assert status == lpmod.UNBOUNDED
+
+    def test_drift_raises_with_phase_and_pivots(self):
+        # a tableau whose basic values disagree with B^-1 b, as after
+        # lost precision, fails at its first rebuild
+        a_mat = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        b = np.array([1.0, 1.0])
+        cost = np.array([-1.0, 0.0, -1.0])
+        T = lpmod._factor(a_mat, b, cost, np.array([0, 2]))
+        T[0, -1] += 1e-3
+        refactor = lpmod._refactorer(a_mat, b, cost, 2)
+        with pytest.raises(lpmod.SimplexError, match=r"phase 2: .*drifted 1\.000e-03.* after 7 pivots"):
+            refactor(T, np.array([0, 2]), 7)
 
 
 class TestDeterminism:
@@ -259,3 +293,77 @@ class TestAgainstBruteForce:
             assert sol.status == "optimal"
             assert sol.objective_value == pytest.approx(expect, abs=1e-8)
             checked += 1
+
+
+def random_feasible_rhs(rng, a_mat):
+    """rhs A x for a random nonnegative, nonzero x."""
+    n = a_mat.shape[1]
+    x = np.where(rng.random(n) < 0.5, 0.0, rng.random(n) * 3)
+    if x.sum() == 0:
+        x[int(rng.integers(n))] = 1.0
+    return a_mat @ x
+
+
+def random_bounded_lp(rng):
+    """Random equality LP data whose first row (all ones) bounds the feasible set."""
+    m = int(rng.integers(1, 4))
+    n = int(rng.integers(m, 7))
+    a_mat = np.vstack([np.ones(n), rng.normal(size=(m - 1, n))]) if m > 1 else np.ones((1, n))
+    return a_mat, random_feasible_rhs(rng, a_mat)
+
+
+def no_phase1(*args):
+    raise AssertionError("phase 1 ran on a warm start")
+
+
+class TestWarmStart:
+    def test_3x3x3_facial_lps(self, table3x3x3, monkeypatch):
+        model = parse_generators("[ab][bc][ac]")
+        zero_cells = table3x3x3.zero_cells()
+        cell_131 = table3x3x3.flat_index((0, 2, 0))
+        # the facial loop's two objectives, then the oracle's per-cell ones
+        objectives = [zero_cells, [i for i in zero_cells if i != cell_131]] + [[i] for i in zero_cells]
+        prev = solve(facial_lp(table3x3x3, model, objectives[0])[0])
+        for active in objectives[1:]:
+            lp, _ = facial_lp(table3x3x3, model, active)
+            cold = solve(lp)
+            with monkeypatch.context() as mp:
+                mp.setattr(lpmod, "_phase1", no_phase1)
+                warm = solve(lp, start=prev.basis)
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+            assert warm.residual <= 1e-9
+            prev = warm
+
+    def test_random_lps_sharing_constraints(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            a_mat, b = random_bounded_lp(rng)
+            prev = solve(LinearProgram(rng.normal(size=a_mat.shape[1]), a_mat, b))
+            for _ in range(3):
+                c = rng.normal(size=a_mat.shape[1])
+                lp = LinearProgram(c, a_mat, b)
+                cold = solve(lp)
+                with monkeypatch.context() as mp:
+                    mp.setattr(lpmod, "_phase1", no_phase1)
+                    warm = solve(lp, start=prev.basis)
+                assert warm.status == cold.status == "optimal"
+                expect = brute_force_max(c, a_mat, b)
+                assert warm.objective_value == pytest.approx(expect, abs=1e-8)
+                assert cold.objective_value == pytest.approx(expect, abs=1e-8)
+                prev = warm
+
+    def test_start_infeasible_for_new_rhs_runs_phase1(self):
+        rng = np.random.default_rng(11)
+        fallbacks = 0
+        for _ in range(60):
+            a_mat, b = random_bounded_lp(rng)
+            b_new = random_feasible_rhs(rng, a_mat)
+            prev = solve(LinearProgram(rng.normal(size=a_mat.shape[1]), a_mat, b))
+            rows, cols = prev.basis
+            fallbacks += bool((np.linalg.solve(a_mat[rows][:, cols], b_new[rows]) < -1e-8).any())
+            c = rng.normal(size=a_mat.shape[1])
+            sol = solve(LinearProgram(c, a_mat, b_new), start=prev.basis)
+            assert sol.status == "optimal"
+            assert sol.objective_value == pytest.approx(brute_force_max(c, a_mat, b_new), abs=1e-8)
+        assert fallbacks > 0
