@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 usage, 3 data error, 4 model parse error,
 """
 
 import argparse
-import math
 import sys
 
 from . import datasets
@@ -16,7 +15,7 @@ from .design import build_design
 from .faces import find_facial_set, per_cell_oracle
 from .fit import FitError, fit
 from .formula import FormulaError, parse_formula, parse_generators
-from .lp import SUPPORT_TOL, SimplexError
+from .lp import SimplexError
 from .report import build_report, render_json, render_text
 from .table import TableError, parse_table
 
@@ -26,14 +25,6 @@ EXIT_DATA = 3
 EXIT_FORMULA = 4
 EXIT_NUMERICAL = 5
 EXIT_ORACLE = 6
-
-
-def positive_real(text):
-    """argparse type for tolerances: a finite number > 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,10 +70,6 @@ def make_parser(err=sys.stderr):
         help="also run the independent per-cell LP oracle and report agreement",
     )
     parser.add_argument("--dump-design", action="store_true", help="print the design matrix and exit")
-    parser.add_argument("--tol-lp", type=positive_real, default=SUPPORT_TOL, metavar="REAL",
-                        help="LP support tolerance (default %(default)g)")
-    parser.add_argument("--tol-rank", type=positive_real, default=None, metavar="REAL",
-                        help="relative rank tolerance (default: ncols * machine epsilon)")
     return parser
 
 
@@ -101,6 +88,8 @@ def load_table(args, freq_column):
             return parse_table(fh, freq_column=freq_column)
     except OSError as exc:
         raise TableError(f"cannot read {args.data}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise TableError(f"cannot read {args.data}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def dump_design(design, out):
@@ -129,7 +118,7 @@ def main(argv=None, out=sys.stdout, err=sys.stderr):
         return EXIT_DATA
 
     try:
-        design = build_design(table, model, rank_rel_tol=args.tol_rank)
+        design = build_design(table, model)
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_DATA
@@ -139,19 +128,13 @@ def main(argv=None, out=sys.stdout, err=sys.stderr):
         return EXIT_OK
 
     try:
-        fs = find_facial_set(
-            table, model, design=design,
-            support_tol=args.tol_lp, rank_rel_tol=args.tol_rank,
-        )
+        fs = find_facial_set(table, model, design=design)
         oracle = None
         if args.oracle_check:
-            oracle = per_cell_oracle(
-                table, model, design=design,
-                support_tol=args.tol_lp, rank_rel_tol=args.tol_rank,
-            )
+            oracle = per_cell_oracle(table, model, design=design)
         result = None
         if not args.facial_only:
-            result = fit(table, model, fs, design=design, rank_rel_tol=args.tol_rank)
+            result = fit(table, model, fs, design=design)
     except (SimplexError, FitError, ValueError) as exc:
         print(f"error: numerical failure: {exc}", file=err)
         return EXIT_NUMERICAL

@@ -24,6 +24,14 @@ from .design import build_design, matrix_rank, sufficient_statistic
 __all__ = ["FacialSet", "find_facial_set", "per_cell_oracle", "mle_exists"]
 
 
+_STATUS = {
+    "optimal_zero": "Optimal objective value 0",
+    "all_cells_in_face": "All cells entered the facial set",
+    "initial_A_empty": "No sampling zeros; all cells in the facial set",
+    "per_cell": "Per-cell oracle",
+}
+
+
 @dataclass(frozen=True)
 class FacialSet:
     """Per-cell face membership with the face dimension and a run trace."""
@@ -31,9 +39,13 @@ class FacialSet:
     in_face: np.ndarray = field(repr=False)  # bool per cell, canonical order
     face_dimension: int
     iterations: int  # LP solves performed
-    termination: str  # "optimal_zero" | "all_cells_in_face" | "initial_A_empty" | "per_cell"
+    termination: str  # a key of _STATUS
     removed_per_iteration: tuple  # cells moved into the face each round
-    status: str  # human-readable termination line for reports
+
+    @property
+    def status(self):
+        """Human-readable termination line for reports."""
+        return _STATUS[self.termination]
 
     @property
     def n_face_cells(self):
@@ -49,23 +61,15 @@ def _binarized_statistic(table, design):
     return sufficient_statistic(design, y).t.astype(np.float64)
 
 
-def _face_dimension(design, in_face, rank_rel_tol):
-    return matrix_rank(design.matrix[in_face], rel_tol=rank_rel_tol)
-
-
-def find_facial_set(
-    table,
-    model,
-    design=None,
-    support_tol=lp.SUPPORT_TOL,
-    rank_rel_tol=None,
-    column_order=None,
-):
+def find_facial_set(table, model, design=None, column_order=None):
     """Find the facial set by the repeated-LP shrinking loop.
 
-    ``column_order`` optionally permutes the LP variable ordering; the
-    result is invariant to it (the face is unique), which makes the
-    permutation a useful determinism audit in tests.
+    A cell is rescued into the face when its LP value exceeds
+    lp.SUPPORT_TOL, and the loop stops once the optimum is at most
+    lp.SUPPORT_TOL; the face dimension is ``matrix_rank`` of the face
+    rows.  ``column_order`` optionally permutes the LP variable
+    ordering; the result is invariant to it (the face is unique), which
+    makes the permutation a useful determinism audit in tests.
     """
     if table.total == 0:
         raise ValueError("all-zero table: no facial set is defined")
@@ -83,22 +87,12 @@ def find_facial_set(
     removed_trace = []
     iterations = 0
     basis = None  # every LP shares X'a = t', so each starts from the last optimum
+    termination = "initial_A_empty" if not active.any() else "all_cells_in_face"
 
-    if not active.any():
-        in_face = np.ones(n_cells, dtype=bool)
-        return FacialSet(
-            in_face,
-            _face_dimension(design, in_face, rank_rel_tol),
-            0,
-            "initial_A_empty",
-            (),
-            "No sampling zeros; all cells in the facial set",
-        )
-
-    while True:
+    while active.any():
         c = active.astype(np.float64)
         problem = lp.LinearProgram(c[perm], xt[:, perm], t_prime)
-        sol = lp.solve(problem, support_tol=support_tol, start=basis)
+        sol = lp.solve(problem, start=basis)
         iterations += 1
         if sol.status != "optimal":
             # the binarized counts themselves are feasible, and the
@@ -111,47 +105,33 @@ def find_facial_set(
         basis = sol.basis
 
         point = sol.point[inv_perm]
-        removable = np.flatnonzero(active & (point > support_tol))
-        if sol.objective_value <= support_tol or removable.size == 0:
+        removable = np.flatnonzero(active & (point > lp.SUPPORT_TOL))
+        if sol.objective_value <= lp.SUPPORT_TOL or removable.size == 0:
             # objective above tolerance with no removable cell means the
             # optimum is numerical dust spread below the support threshold;
             # treat it as zero rather than removing an unproven cell
-            in_face = ~active
-            return FacialSet(
-                in_face,
-                _face_dimension(design, in_face, rank_rel_tol),
-                iterations,
-                "optimal_zero",
-                tuple(removed_trace),
-                "Optimal objective value 0",
-            )
-
+            termination = "optimal_zero"
+            break
         active[removable] = False
         removed_trace.append(tuple(int(i) for i in removable))
-        if not active.any():
-            in_face = np.ones(n_cells, dtype=bool)
-            return FacialSet(
-                in_face,
-                _face_dimension(design, in_face, rank_rel_tol),
-                iterations,
-                "all_cells_in_face",
-                tuple(removed_trace),
-                "All cells entered the facial set",
-            )
+
+    in_face = ~active
+    return FacialSet(
+        in_face,
+        matrix_rank(design.matrix[in_face]),
+        iterations,
+        termination,
+        tuple(removed_trace),
+    )
 
 
-def per_cell_oracle(
-    table,
-    model,
-    design=None,
-    support_tol=lp.SUPPORT_TOL,
-    rank_rel_tol=None,
-):
+def per_cell_oracle(table, model, design=None):
     """Independent check: test every zero cell with its own LP.
 
     A cell is on the face containing t' iff some nonnegative solution
     of X'a = t' puts positive mass on it, so maximizing a(i) alone
-    decides cell i directly.  Quadratic in the number of zero cells but
+    decides cell i directly; it is in the face when that maximum
+    exceeds lp.SUPPORT_TOL.  Quadratic in the number of zero cells but
     with no shared state across cells.
     """
     if table.total == 0:
@@ -168,20 +148,15 @@ def per_cell_oracle(
     for i in zeros:
         c = np.zeros(n_cells)
         c[i] = 1.0
-        sol = lp.solve(lp.LinearProgram(c, xt, t_prime), support_tol=support_tol, start=basis)
+        sol = lp.solve(lp.LinearProgram(c, xt, t_prime), start=basis)
         if sol.status != "optimal":
             raise lp.SimplexError(f"per-cell LP returned {sol.status}; solver fault")
         basis = sol.basis
-        if sol.objective_value > support_tol:
+        if sol.objective_value > lp.SUPPORT_TOL:
             in_face[i] = True
 
     return FacialSet(
-        in_face,
-        _face_dimension(design, in_face, rank_rel_tol),
-        int(zeros.size),
-        "per_cell",
-        (),
-        "Per-cell oracle",
+        in_face, matrix_rank(design.matrix[in_face]), int(zeros.size), "per_cell", ()
     )
 
 

@@ -84,19 +84,19 @@ class FitResult:
         return tuple(c.term for c in self.coefficients if c.aliased)
 
 
-def _select_independent_columns(xf, order, rel_tol=None):
+def _select_independent_columns(xf):
     """Greedy maximal independent column subset, preferring earlier columns.
 
-    Walks columns in ``order`` and keeps one whenever it is not in the
-    span of those already kept (twice-orthogonalized Gram-Schmidt).
-    With the canonical order this prefers lower-order terms, so the
-    aliased columns are the highest-order dependent ones.
+    Walks the columns in order and keeps one whenever it is not in the
+    span of those already kept (twice-orthogonalized Gram-Schmidt): its
+    residual must exceed ncols * sqrt(eps) of its norm.  With the
+    canonical order this prefers lower-order terms, so the aliased
+    columns are the highest-order dependent ones.
     """
-    if rel_tol is None:
-        rel_tol = xf.shape[1] * np.float64(np.finfo(np.float64).eps) ** 0.5
+    rel_tol = xf.shape[1] * np.float64(np.finfo(np.float64).eps) ** 0.5
     basis = []
     kept = []
-    for j in order:
+    for j in range(xf.shape[1]):
         v = xf[:, j]
         norm0 = np.linalg.norm(v)
         if norm0 == 0.0:
@@ -113,14 +113,15 @@ def _select_independent_columns(xf, order, rel_tol=None):
     return kept
 
 
-def _newton(X, y, theta0, grad_tol, step_tol, max_iter):
+def _newton(X, y, theta0, grad_bound, step_tol, max_iter):
     """Maximize the Poisson log-likelihood y'(X theta) - sum(exp(X theta)).
 
     Damped Newton: full step first, halved until the objective stops
     getting worse (a 1e-12 relative band lets the final steps polish
     the gradient once the objective is flat to machine precision).
 
-    Convergence requires BOTH a small gradient and a small Newton step.
+    Convergence requires BOTH a small gradient (max|grad| <= grad_bound)
+    and a small Newton step (max|delta| <= step_tol * (1 + max|theta|)).
     When the maximizer lies on the boundary (extended-MLE case with all
     cells included) the gradient still vanishes along the divergent
     path while the step stays O(1), so a gradient-only test would
@@ -150,7 +151,7 @@ def _newton(X, y, theta0, grad_tol, step_tol, max_iter):
         H[np.diag_indices(d)] += lam
         delta = np.linalg.solve(H, grad)
 
-        if gnorm <= grad_tol and np.max(np.abs(delta)) <= step_tol * (1.0 + np.max(np.abs(theta))):
+        if gnorm <= grad_bound and np.max(np.abs(delta)) <= step_tol * (1.0 + np.max(np.abs(theta))):
             status = CONVERGED
             break
 
@@ -227,8 +228,6 @@ def fit(
     design=None,
     columns=None,
     max_iter=100,
-    grad_tol=None,
-    rank_rel_tol=None,
     require_convergence=True,
 ):
     """Fit the Poisson log-linear model restricted to the facial set.
@@ -238,7 +237,8 @@ def fit(
     unless ``require_convergence=False``).  ``columns`` may name an
     explicit independent subset of design columns to estimate; the
     fitted means do not depend on that choice, only the parametrization
-    does.
+    does.  Newton converges once max|gradient| <= 1e-10 max(1, N) and
+    max|step| <= 1e-8 (1 + max|theta|).
     """
     if table.total == 0:
         raise FitError("all-zero table")
@@ -258,28 +258,26 @@ def fit(
     n_face = int(in_face.sum())
     total = table.total
     d = design.d
-    d_face = matrix_rank(xf, rel_tol=rank_rel_tol)
+    d_face = matrix_rank(xf)
 
     if columns is None:
-        kept = _select_independent_columns(xf, range(d))
+        kept = _select_independent_columns(xf)
         if len(kept) != d_face:
             raise FitError(
                 f"column selection found {len(kept)} independent columns, rank is {d_face}"
             )
     else:
         kept = [int(j) for j in columns]
-        if matrix_rank(xf[:, kept], rel_tol=rank_rel_tol) != len(kept) or len(kept) != d_face:
+        if matrix_rank(xf[:, kept]) != len(kept) or len(kept) != d_face:
             raise FitError("explicit column set is not a maximal independent subset")
 
     x_star = np.ascontiguousarray(xf[:, kept])
     theta0 = np.zeros(len(kept))
     if kept and kept[0] == 0:
         theta0[0] = math.log(total / n_face)
-    if grad_tol is None:
-        grad_tol = 1e-10 * max(1.0, float(total))
 
     theta, status, n_iter, gnorm = _newton(
-        x_star, nf, theta0, float(grad_tol), 1e-8, int(max_iter)
+        x_star, nf, theta0, 1e-10 * max(1.0, float(total)), 1e-8, int(max_iter)
     )
     converged = status == CONVERGED
     if require_convergence and not converged:

@@ -233,7 +233,7 @@ def _run(T, basis, max_iter, phase, refactor, stop_at=None):
     return status, pivots
 
 
-def _phase1(A, b, feasibility_tol, max_iter):
+def _phase1(A, b, max_iter):
     """Find a feasible basis of A a = b, a >= 0 from the all-artificial one.
 
     Returns (kept rows, basic columns, basic values, pivots); the rows
@@ -244,9 +244,9 @@ def _phase1(A, b, feasibility_tol, max_iter):
     cost = np.concatenate((np.zeros(n), np.ones(m)))
     basis = np.arange(n, n + m, dtype=np.int64)
     T = _factor(M, b, cost, basis)
-    _, pivots = _run(T, basis, max_iter, 1, _refactorer(M, b, cost, 1), stop_at=feasibility_tol)
+    _, pivots = _run(T, basis, max_iter, 1, _refactorer(M, b, cost, 1), stop_at=FEASIBILITY_TOL)
     # The sum of artificials is bounded below by 0, so "unbounded" cannot occur.
-    if -T[-1, -1] > feasibility_tol:
+    if -T[-1, -1] > FEASIBILITY_TOL:
         return None, None, None, pivots
 
     # Pivot lingering artificials out of the (degenerate) basis; a row
@@ -261,28 +261,32 @@ def _phase1(A, b, feasibility_tol, max_iter):
     return np.flatnonzero(keep), basis[keep], T[:m, -1][keep], pivots
 
 
-def _warm_tableau(A, b, cost, rows, basis, support_tol):
+def _warm_tableau(A, b, cost, rows, basis):
     """Phase-2 tableau on ``rows`` and ``basis``, or None if that is no feasible basis."""
     try:
         T = _factor(A[rows], b[rows], cost, basis)
     except np.linalg.LinAlgError:
         return None
-    return T if (T[:-1, -1] >= -support_tol).all() else None
+    return T if (T[:-1, -1] >= -SUPPORT_TOL).all() else None
 
 
-def solve(lp, feasibility_tol=FEASIBILITY_TOL, support_tol=SUPPORT_TOL, max_iter=None, start=None):
+def solve(lp, start=None):
     """Solve to an optimal basic feasible (vertex) solution.
 
     Returns an LpSolution with status "optimal", "infeasible", or
-    "unbounded".  ``support`` lists the indices with point > support_tol.
+    "unbounded".  ``support`` lists the indices with point > SUPPORT_TOL.
     ``start`` is the ``basis`` of an earlier solution of an LP with the
     same constraints; phase 2 then starts from it, and phase 1 runs only
-    if it is not a feasible basis here.  Raises SimplexError on
-    numerical breakdown.
+    if it is not a feasible basis here.
+
+    The thresholds are this module's constants: phase 1 ends once the
+    artificial sum is <= FEASIBILITY_TOL, and SUPPORT_TOL is both the
+    negative slack a warm-start basis may have and the roundoff clamped
+    from the vertex.  Each phase may take 10000 + 100 (m + n) pivots.
+    Raises SimplexError on numerical breakdown.
     """
     m, n = lp.n_constraints, lp.n_vars
-    if max_iter is None:
-        max_iter = 10_000 + 100 * (m + n)
+    max_iter = 10_000 + 100 * (m + n)
 
     A = lp.constraint_matrix.copy()
     b = lp.rhs.copy()
@@ -295,9 +299,9 @@ def solve(lp, feasibility_tol=FEASIBILITY_TOL, support_tol=SUPPORT_TOL, max_iter
     T = None
     if start is not None:
         rows, basis = (np.array(v, dtype=np.int64) for v in start)
-        T = _warm_tableau(A, b, cost, rows, basis, support_tol)
+        T = _warm_tableau(A, b, cost, rows, basis)
     if T is None:
-        rows, basis, x_basic, total_pivots = _phase1(A, b, feasibility_tol, max_iter)
+        rows, basis, x_basic, total_pivots = _phase1(A, b, max_iter)
         if rows is None:
             zero = np.zeros(n)
             return LpSolution("infeasible", np.nan, zero, np.empty(0, dtype=np.int64), np.nan, total_pivots)
@@ -318,15 +322,15 @@ def solve(lp, feasibility_tol=FEASIBILITY_TOL, support_tol=SUPPORT_TOL, max_iter
     x = np.zeros(n)
     x[basis] = T[:-1, -1]
     # vertex coordinates are >= 0 up to roundoff; clamp the dust
-    x[(x < 0) & (x > -support_tol)] = 0.0
+    x[(x < 0) & (x > -SUPPORT_TOL)] = 0.0
     if (x < 0).any():
         raise SimplexError("negative basic variable beyond tolerance")
 
     residual = float(np.max(np.abs(lp.constraint_matrix @ x - lp.rhs))) if m else 0.0
-    if residual > max(feasibility_tol, 1e-9 * (1.0 + float(np.abs(lp.rhs).max(initial=0.0)))):
+    if residual > max(FEASIBILITY_TOL, 1e-9 * (1.0 + float(np.abs(lp.rhs).max(initial=0.0)))):
         raise SimplexError(f"constraint residual {residual:.3e} exceeds tolerance")
 
-    support = np.flatnonzero(x > support_tol)
+    support = np.flatnonzero(x > SUPPORT_TOL)
     return LpSolution(
         "optimal", float(lp.objective @ x), x, support, residual, total_pivots, Basis(rows, basis)
     )

@@ -7,11 +7,13 @@ contract for all row indexing downstream (design matrices, facial
 sets, reports).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "DENSE_BUDGET",
     "FactorSpec",
     "ContingencyTable",
     "TableError",
@@ -20,6 +22,10 @@ __all__ = [
     "marginal",
     "binarize",
 ]
+
+# Most entries a dense per-cell array may hold: the counts of a parsed
+# table, or a design's n_cells x d matrix (128 MiB of float64).
+DENSE_BUDGET = 2**24
 
 
 class TableError(ValueError):
@@ -80,7 +86,7 @@ class ContingencyTable:
 
     @property
     def n_cells(self):
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def factor_names(self):
@@ -145,8 +151,8 @@ def parse_table(source, freq_column="freq"):
     ``source`` is a string or an iterable of lines.  The header names
     the factor columns plus the frequency column; each data row names
     one cell.  Cells absent from the input get count 0.  Duplicate
-    cells, ragged rows, and negative or non-integer frequencies are
-    errors.
+    cells, ragged rows, negative or non-integer frequencies, and more
+    than DENSE_BUDGET cells are errors.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -186,7 +192,10 @@ def parse_table(source, freq_column="freq"):
     level_pos = [{lab: i for i, lab in enumerate(f.levels)} for f in factors]
 
     shape = tuple(f.n_levels for f in factors)
-    counts = np.zeros(int(np.prod(shape)), dtype=np.int64)
+    n_cells = math.prod(shape)
+    if n_cells > DENSE_BUDGET:
+        raise TableError(f"table has {n_cells} cells, more than the budget of {DENSE_BUDGET}")
+    counts = np.zeros(n_cells, dtype=np.int64)
     seen = np.zeros(counts.shape, dtype=bool)
     for levels, freq, lineno in rows:
         coords = tuple(level_pos[k][lab] for k, lab in enumerate(levels))

@@ -135,17 +135,33 @@ class TestExitCodes:
         code, _, err = run_cli("--dataset", "haberman", "--formula", "freq ~ a*q")
         assert code == cli.EXIT_DATA
 
-    def test_tolerance_flags_accepted(self):
-        code, out, _ = run_cli(*HABERMAN_ARGS, "--tol-lp", "1e-7", "--tol-rank", "1e-10")
-        assert code == 0
-
     @pytest.mark.parametrize("flag", ["--tol-lp", "--tol-rank"])
-    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-    def test_tolerance_must_be_finite_and_positive(self, flag, value, capsys):
-        code, out, err = run_cli(
-            "--dataset", "example3x3x3", "--formula", "[ab][ac][bc]", "--facial-only", flag, value
-        )
+    def test_tolerance_flags_are_gone(self, flag, capsys):
+        # the LP and rank thresholds are the engine's constants
+        code, out, err = run_cli(*HABERMAN_ARGS, "--facial-only", flag, "1e-8")
         assert code == cli.EXIT_USAGE
         assert out == ""
         assert flag in err
         assert capsys.readouterr().err == ""
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli("--data", str(path), "--formula", "freq ~ a")
+        assert code == cli.EXIT_DATA
+        assert out == ""
+        assert "UTF-8" in err
+
+    @pytest.mark.parametrize("k", [40, 63, 64])
+    def test_table_over_budget_is_data_error(self, k, tmp_path):
+        # two rows give every factor two levels, so the table has 2^k cells
+        path = tmp_path / "t.csv"
+        names = [f"f{i}" for i in range(k)]
+        path.write_text(
+            ",".join([*names, "freq"]) + "\n" + ",".join(["0"] * k + ["1"]) + "\n"
+            + ",".join(["1"] * k + ["2"]) + "\n"
+        )
+        code, out, err = run_cli("--data", str(path), "--formula", f"freq ~ {names[0]}")
+        assert code == cli.EXIT_DATA
+        assert out == ""
+        assert f"{2**k} cells" in err

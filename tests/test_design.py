@@ -1,7 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sparseloglin import build_design, marginal, parse_formula, parse_generators, sufficient_statistic
+from sparseloglin import (
+    ContingencyTable,
+    FactorSpec,
+    build_design,
+    marginal,
+    parse_formula,
+    parse_generators,
+    sufficient_statistic,
+)
 from sparseloglin.design import matrix_rank
 
 from conftest import iter_instances, make_table
@@ -58,6 +68,37 @@ class TestBuildDesign:
             model = parse_generators(text)
             design = build_design(table, model)
             assert design.d == len(model.terms)
+
+
+def all_two_way_binary(k):
+    names = "abcdefghijklmnopqrst"[:k]
+    table = ContingencyTable(
+        tuple(FactorSpec(n, ("0", "1")) for n in names), np.ones(2**k, dtype=np.int64)
+    )
+    model = parse_generators("".join(f"[{x}{y}]" for i, x in enumerate(names) for y in names[i + 1 :]))
+    return table, model
+
+
+class TestBudget:
+    def test_large_design_rejected_before_allocation(self):
+        # the largest ladder rung fits; 2^20 cells x 211 columns, 1.8 GB
+        # of doubles, is refused before anything is allocated
+        assert build_design(*all_two_way_binary(12)).d == 79
+        with pytest.raises(ValueError, match="1048576 cells x 211 columns exceeds"):
+            build_design(*all_two_way_binary(20))
+
+    def test_memory_follows_the_model_not_the_table(self):
+        # an intercept-only design of 2^20 cells is 8 MiB; level coordinates
+        # and indicators of all 20 table factors would take 160 MiB each
+        table, _ = all_two_way_binary(20)
+        tracemalloc.start()
+        try:
+            design = build_design(table, parse_formula("freq ~ 1"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert design.d == 1
+        assert peak < 64 * 2**20
 
 
 class TestSufficientStatistic:

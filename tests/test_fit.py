@@ -64,7 +64,6 @@ class TestHabermanFit:
 class TestClosedForms:
     def test_single_cell_intercept(self):
         # one Poisson cell with count k: m-hat = k, l = k log k - k
-        table = make_table((2,), None) if False else None
         # smallest legal table is 2 cells; use intercept-only on (k, k)
         k = 7
         tab = make_table((2,), [k, k])
