@@ -135,6 +135,9 @@ def main(argv=None, out=sys.stdout, err=sys.stderr):
         result = None
         if not args.facial_only:
             result = fit(table, model, fs, design=design)
+    except TableError as exc:  # an all-zero table, rejected before any LP
+        print(f"error: {exc}", file=err)
+        return EXIT_DATA
     except (SimplexError, FitError, ValueError) as exc:
         print(f"error: numerical failure: {exc}", file=err)
         return EXIT_NUMERICAL

@@ -3,15 +3,27 @@
 The marginal cone of a model is generated by the design rows f_i.  The
 sufficient statistic t lies in the relative interior of exactly one
 face F; the cells whose rows lie on F form the facial set, and the MLE
-exists precisely when every cell is in it.  The face is found by
-repeatedly maximizing the mass that nonnegative solutions of
-X'a = t' can place on the candidate-excluded cells: any cell that
-receives mass is moved into the face, and the loop stops when the
-optimum is zero or no candidates remain.
+exists precisely when every cell is in it.
 
-Only the zero pattern of the counts matters, so the algorithm always
-runs on the binarized statistic t' (counts replaced by 0/1), which
-also keeps the LPs well scaled.
+Only the zero pattern of the counts matters, so everything runs on the
+binarized statistic t' (counts replaced by 0/1), which also keeps the
+LPs well scaled.  The face is found in three steps:
+
+* Presolve.  A zero cell whose slice of some generator margin of the
+  binarized table is zero is off the face: every a >= 0 with
+  X'a = t' has that margin equal to 0, so a puts no mass on the cell.
+  These cells leave the candidate set before any LP runs (the outer
+  approximation of Wang, Rauh & Massam, Ann. Statist. 47(3), 2019).
+* Repeated LPs.  Each LP maximizes the mass that nonnegative solutions
+  of X'a = t' can place on the remaining candidates; any cell that
+  receives mass is moved into the face, and the loop stops when the
+  optimum is zero or no candidates remain.
+* Certificate LP.  After the first LP that rescues cells, one extra LP
+  asks for a solution positive on every remaining candidate at once
+  (the single-LP view of Fienberg & Rinaldo, Ann. Statist. 40(2),
+  2012).  When it finds one, every candidate is in the face and the
+  loop ends; otherwise the cells it did reach are rescued and the loop
+  goes on.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +32,7 @@ import numpy as np
 
 from . import lp
 from .design import build_design, matrix_rank, sufficient_statistic
+from .table import TableError
 
 __all__ = ["FacialSet", "find_facial_set", "per_cell_oracle", "mle_exists"]
 
@@ -28,6 +41,7 @@ _STATUS = {
     "optimal_zero": "Optimal objective value 0",
     "all_cells_in_face": "All cells entered the facial set",
     "initial_A_empty": "No sampling zeros; all cells in the facial set",
+    "all_zeros_presolved": "Every sampling zero lies in a zero margin; no LP needed",
     "per_cell": "Per-cell oracle",
 }
 
@@ -40,7 +54,10 @@ class FacialSet:
     face_dimension: int
     iterations: int  # LP solves performed
     termination: str  # a key of _STATUS
-    removed_per_iteration: tuple  # cells moved into the face each round
+    removed_per_iteration: tuple  # cells moved into the face by each rescuing LP
+    # (cell, generator) per presolved cell; the generator is the first
+    # one, in canonical order, whose margin is zero there
+    presolved: tuple
 
     @property
     def status(self):
@@ -61,18 +78,75 @@ def _binarized_statistic(table, design):
     return sufficient_statistic(design, y).t.astype(np.float64)
 
 
+def _check_table(table):
+    if table.total == 0:
+        raise TableError("all-zero table: no facial set is defined")
+
+
+def _presolve(table, model):
+    """Zero cells in a zero generator margin of the binarized table.
+
+    Returns (pairs, mask): one (cell, generator) pair per such cell in
+    cell order, the generator being the first in canonical order whose
+    margin is zero at the cell, as a tuple of factor names in table
+    order; and the cells as a boolean mask.  Positive cells always have
+    positive margins, so only zero cells are ever returned.
+    """
+    if table.counts.all():
+        return (), np.zeros(table.n_cells, dtype=bool)
+    names = table.factor_names
+    positive = (table.counts > 0).reshape(table.shape)
+    first = np.full(table.n_cells, -1)
+    gens = model.generators
+    for j, gen in enumerate(gens):
+        others = tuple(k for k, name in enumerate(names) if name not in gen)
+        margin = positive.any(axis=others, keepdims=True)
+        hit = ~np.broadcast_to(margin, table.shape).reshape(-1) & (first < 0)
+        first[hit] = j
+    off_face = first >= 0
+    pairs = tuple(
+        (int(i), tuple(name for name in names if name in gens[first[i]]))
+        for i in np.flatnonzero(off_face)
+    )
+    return pairs, off_face
+
+
+def _solve_facial(problem, basis, bound):
+    """Solve one facial LP, checking its status and its objective bound.
+
+    The binarized counts are feasible, and the intercept row bounds the
+    objective by ``bound`` = t'[0], so anything else is a solver fault.
+    """
+    sol = lp.solve(problem, start=basis)
+    if sol.status != "optimal":
+        raise lp.SimplexError(f"facial LP returned {sol.status}; solver fault")
+    if sol.objective_value > bound + 1e-8:
+        raise lp.SimplexError(f"facial LP objective {sol.objective_value} exceeds bound {bound}")
+    return sol
+
+
 def find_facial_set(table, model, design=None, column_order=None):
-    """Find the facial set by the repeated-LP shrinking loop.
+    """Find the facial set: presolve, repeated LPs and one certificate LP.
+
+    Zero cells in a zero generator margin of the binarized table are
+    presolved off the face; their LP columns stay, with objective 0,
+    so every LP keeps the constraints X'a = t' and each starts from the
+    previous loop LP's optimal basis.  Each loop LP maximizes the mass
+    on the remaining candidates A.  After the first LP that rescues
+    cells, if A is not empty, one certificate LP maximizes s subject to
+    X'b + s x_A = t', b >= 0, s >= 0, where x_A is the mean design row
+    of A (an extra last column); the cell point b + (s/|A|) 1_A is
+    positive on all of A when s/|A| exceeds lp.SUPPORT_TOL.
 
     A cell is rescued into the face when its LP value exceeds
     lp.SUPPORT_TOL, and the loop stops once the optimum is at most
     lp.SUPPORT_TOL; the face dimension is ``matrix_rank`` of the face
-    rows.  ``column_order`` optionally permutes the LP variable
-    ordering; the result is invariant to it (the face is unique), which
-    makes the permutation a useful determinism audit in tests.
+    rows.  ``iterations`` counts every LP, the certificate LP too.
+    ``column_order`` optionally permutes the LP variable ordering; the
+    result is invariant to it (the face is unique), which makes the
+    permutation a useful determinism audit in tests.
     """
-    if table.total == 0:
-        raise ValueError("all-zero table: no facial set is defined")
+    _check_table(table)
     if design is None:
         design = build_design(table, model)
     n_cells = table.n_cells
@@ -82,26 +156,25 @@ def find_facial_set(table, model, design=None, column_order=None):
     perm = np.arange(n_cells) if column_order is None else np.asarray(column_order)
     inv_perm = np.empty_like(perm)
     inv_perm[perm] = np.arange(n_cells)
+    xt_perm = xt[:, perm]
 
-    active = table.counts == 0  # candidate non-face cells, the loop's A
+    presolved, off_face = _presolve(table, model)
+    active = (table.counts == 0) & ~off_face  # candidate non-face cells, the loop's A
     removed_trace = []
     iterations = 0
-    basis = None  # every LP shares X'a = t', so each starts from the last optimum
-    termination = "initial_A_empty" if not active.any() else "all_cells_in_face"
+    basis = None  # every loop LP shares X'a = t', so each starts from the last optimum
+    certify = True  # the certificate LP runs at most once
+    if table.counts.all():
+        termination = "initial_A_empty"
+    elif not active.any():
+        termination = "all_zeros_presolved"
+    else:
+        termination = "all_cells_in_face"
 
     while active.any():
         c = active.astype(np.float64)
-        problem = lp.LinearProgram(c[perm], xt[:, perm], t_prime)
-        sol = lp.solve(problem, start=basis)
+        sol = _solve_facial(lp.LinearProgram(c[perm], xt_perm, t_prime), basis, t_prime[0])
         iterations += 1
-        if sol.status != "optimal":
-            # the binarized counts themselves are feasible, and the
-            # intercept row bounds the objective by the face total
-            raise lp.SimplexError(f"facial LP returned {sol.status}; solver fault")
-        if sol.objective_value > t_prime[0] + 1e-8:
-            raise lp.SimplexError(
-                f"facial LP objective {sol.objective_value} exceeds bound {t_prime[0]}"
-            )
         basis = sol.basis
 
         point = sol.point[inv_perm]
@@ -115,13 +188,30 @@ def find_facial_set(table, model, design=None, column_order=None):
         active[removable] = False
         removed_trace.append(tuple(int(i) for i in removable))
 
-    in_face = ~active
+        if certify and active.any():
+            certify = False
+            n_active = int(active.sum())
+            objective = np.zeros(n_cells + 1)
+            objective[-1] = 1.0
+            mean_row = xt[:, active].mean(axis=1)
+            problem = lp.LinearProgram(objective, np.column_stack((xt_perm, mean_row)), t_prime)
+            cert = _solve_facial(problem, basis, t_prime[0])
+            iterations += 1
+            point = cert.point[:-1][inv_perm]
+            point[active] += cert.point[-1] / n_active
+            rescued = np.flatnonzero(active & (point > lp.SUPPORT_TOL))
+            if rescued.size:
+                active[rescued] = False
+                removed_trace.append(tuple(int(i) for i in rescued))
+
+    in_face = ~active & ~off_face
     return FacialSet(
         in_face,
         matrix_rank(design.matrix[in_face]),
         iterations,
         termination,
         tuple(removed_trace),
+        presolved,
     )
 
 
@@ -131,19 +221,21 @@ def per_cell_oracle(table, model, design=None):
     A cell is on the face containing t' iff some nonnegative solution
     of X'a = t' puts positive mass on it, so maximizing a(i) alone
     decides cell i directly; it is in the face when that maximum
-    exceeds lp.SUPPORT_TOL.  Quadratic in the number of zero cells but
-    with no shared state across cells.
+    exceeds lp.SUPPORT_TOL.  Presolved cells (see ``find_facial_set``)
+    are off the face by their zero margin and get no LP.  Quadratic in
+    the number of remaining zero cells, with no state shared across
+    cells but the warm-start basis.
     """
-    if table.total == 0:
-        raise ValueError("all-zero table: no facial set is defined")
+    _check_table(table)
     if design is None:
         design = build_design(table, model)
     n_cells = table.n_cells
     t_prime = _binarized_statistic(table, design)
     xt = design.matrix.T
 
+    presolved, off_face = _presolve(table, model)
     in_face = table.counts > 0
-    zeros = np.flatnonzero(~in_face)
+    zeros = np.flatnonzero(~in_face & ~off_face)
     basis = None  # the cells' LPs share X'a = t'; each starts from the last optimum
     for i in zeros:
         c = np.zeros(n_cells)
@@ -156,7 +248,7 @@ def per_cell_oracle(table, model, design=None):
             in_face[i] = True
 
     return FacialSet(
-        in_face, matrix_rank(design.matrix[in_face]), int(zeros.size), "per_cell", ()
+        in_face, matrix_rank(design.matrix[in_face]), int(zeros.size), "per_cell", (), presolved
     )
 
 

@@ -7,6 +7,7 @@ carry identical numbers.
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -41,6 +42,10 @@ def build_report(formula_text, table, design, facial_set, fit_result=None, oracl
         "model_dimension": design.d,
         "status": facial_set.status,
         "iterations": facial_set.iterations,
+        "presolved": [
+            {"cell": cell, "levels": [str(x) for x in labels[cell]], "generator": list(gen)}
+            for cell, gen in facial_set.presolved
+        ],
         "factors": list(table.factor_names),
         "total": table.total,
         "face": face_rows,
@@ -89,6 +94,12 @@ def render_text(report):
     out.append(f"model dimension: {report['model_dimension']}")
     out.append(f"status: {report['status']}")
     out.append(f"iterations: {report['iterations']}")
+    margins = Counter(tuple(p["generator"]) for p in report["presolved"])
+    line = f"presolved: {len(report['presolved'])} zero cells"
+    if margins:
+        ordered = sorted(margins.items(), key=lambda item: (len(item[0]), item[0]))
+        line += " in zero margins of " + ", ".join(f"{':'.join(g)} ({k})" for g, k in ordered)
+    out.append(line)
 
     factors = report["factors"]
     width = [max(len(f), max(len(r["levels"][k]) for r in report["face"])) for k, f in enumerate(factors)]

@@ -106,6 +106,29 @@ class TestReports:
         assert rep["total"] == 10
         assert rep["model_dimension"] == 3
 
+    def test_presolved_cells_reported(self):
+        formula = "|ad|ae|be|ce|ef|acg|dg|fg|bdh|"
+        code, out, err = run_cli("--dataset", "rochdale", "--formula", formula, "--facial-only", "--format", "json")
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["schema_version"] == 1
+        assert len(rep["presolved"]) == 60
+        off_face = [i for i, r in enumerate(rep["face"]) if r["in_face"] == 0]
+        assert [p["cell"] for p in rep["presolved"]] == off_face
+        for p in rep["presolved"]:
+            assert p["levels"] == rep["face"][p["cell"]]["levels"]
+            assert p["generator"] in (["a", "c", "g"], ["b", "d", "h"])
+        code, text_out, _ = run_cli("--dataset", "rochdale", "--formula", formula, "--facial-only")
+        assert code == 0
+        assert "presolved: 60 zero cells in zero margins of a:c:g (32), b:d:h (28)\n" in text_out
+
+    def test_no_presolved_cells_reported(self):
+        code, out, _ = run_cli(*HABERMAN_ARGS, "--facial-only", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["presolved"] == []
+        code, out, _ = run_cli(*HABERMAN_ARGS, "--facial-only")
+        assert "iterations: 1\npresolved: 0 zero cells\nface:" in out
+
     def test_dump_design(self):
         code, out, _ = run_cli(*HABERMAN_ARGS, "--dump-design")
         assert code == 0
@@ -165,3 +188,12 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         assert out == ""
         assert f"{2**k} cells" in err
+
+    def test_all_zero_table_is_data_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,freq\n0,0,0\n1,1,0\n")
+        code, out, err = run_cli("--data", str(path), "--formula", "[ab]")
+        assert code == cli.EXIT_DATA
+        assert out == ""
+        assert "all-zero table" in err
+        assert "numerical" not in err

@@ -1,9 +1,27 @@
 import numpy as np
 import pytest
 
-from sparseloglin import find_facial_set, mle_exists, parse_generators, per_cell_oracle
+from sparseloglin import (
+    LinearProgram,
+    binarize,
+    build_design,
+    find_facial_set,
+    marginal,
+    mle_exists,
+    parse_generators,
+    per_cell_oracle,
+    solve,
+)
+from sparseloglin.datasets import rochdale
+from sparseloglin.lp import SUPPORT_TOL
 
 from conftest import iter_instances, make_table
+from test_acceptance import BIC_ROWS, CBIC_ROWS
+
+# The 9 distinct models of the reference cBIC and BIC tables, in table
+# order, with the number of zero cells each presolves.
+PAPER_MODELS = list(dict.fromkeys(gens for gens, _ in CBIC_ROWS + BIC_ROWS))
+PAPER_PRESOLVED = [60, 60, 60, 60, 32, 0, 0, 32, 0]
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +40,33 @@ def sweep():
     for table, model in iter_instances(120, seed=99):
         out.append((table, model, find_facial_set(table, model)))
     return out
+
+
+@pytest.fixture(scope="module")
+def paper_faces():
+    table = rochdale()
+    out = []
+    for gens in PAPER_MODELS:
+        model = parse_generators(gens)
+        design = build_design(table, model)
+        out.append((table, model, design, find_facial_set(table, model, design=design)))
+    return out
+
+
+def max_cell_mass(design, counts, cells):
+    """max a_i over a >= 0 with X'a = t', by one LP per cell on the full design."""
+    xt = design.matrix.T
+    t_prime = xt @ (counts > 0).astype(np.float64)
+    basis = None
+    out = []
+    for i in cells:
+        c = np.zeros(design.n_cells)
+        c[i] = 1.0
+        sol = solve(LinearProgram(c, xt, t_prime), start=basis)
+        assert sol.status == "optimal"
+        basis = sol.basis
+        out.append(sol.objective_value)
+    return np.array(out)
 
 
 class TestHaberman:
@@ -78,6 +123,66 @@ class TestAllPositive:
         assert oracle.iterations == 0
 
 
+class TestPresolve:
+    def test_paper_model_counts_and_off_face_sets(self, paper_faces):
+        counts = [len(fs.presolved) for _t, _m, _d, fs in paper_faces]
+        assert counts == PAPER_PRESOLVED
+        for _table, _model, _design, fs in paper_faces:
+            assert [cell for cell, _ in fs.presolved] == fs.excluded_cells().tolist()
+
+    def test_presolved_cells_carry_no_mass(self, paper_faces, sweep):
+        # the reference LPs run on the full design and know nothing of margins
+        instances = [(t, build_design(t, m), fs) for t, m, _d, fs in paper_faces]
+        instances += [(t, build_design(t, m), fs) for t, m, fs in sweep]
+        n_checked = 0
+        for table, design, fs in instances:
+            cells = [cell for cell, _ in fs.presolved]
+            if cells:
+                assert (max_cell_mass(design, table.counts, cells) <= SUPPORT_TOL).all()
+                n_checked += len(cells)
+        assert n_checked > sum(PAPER_PRESOLVED)  # the sweep adds cells too
+
+    def test_generator_is_first_zero_margin(self, paper_faces, sweep):
+        cases = [(t, m, fs) for t, m, _d, fs in paper_faces] + sweep
+        for table, model, fs in cases:
+            binary = binarize(table)
+            coords = table.cell_coords()
+            for cell, gen in fs.presolved:
+                first = None
+                for g in model.generators:
+                    keep = [k for k, name in enumerate(table.factor_names) if name in g]
+                    cube = marginal(binary, g).reshape([table.shape[k] for k in keep])
+                    if cube[tuple(coords[cell][keep])] == 0:
+                        first = g
+                        break
+                assert first is not None and gen == tuple(n for n in table.factor_names if n in first)
+
+    def test_every_zero_presolved_runs_no_lp(self):
+        table = make_table((2, 2), [1, 1, 0, 0])  # the a=1 margin is zero
+        fs = find_facial_set(table, parse_generators("[a][b]"))
+        assert fs.presolved == ((2, ("a",)), (3, ("a",)))
+        assert fs.iterations == 0
+        assert fs.termination == "all_zeros_presolved"
+        assert fs.status == "Every sampling zero lies in a zero margin; no LP needed"
+        assert fs.removed_per_iteration == ()
+        assert fs.excluded_cells().tolist() == [2, 3]
+        assert fs.face_dimension == 2
+
+    def test_oracle_skips_presolved_cells(self, paper_faces):
+        table, model, design, fs = paper_faces[0]
+        oracle = per_cell_oracle(table, model, design=design)
+        assert oracle.iterations == 165 - 60 == 105
+        assert oracle.presolved == fs.presolved
+        assert np.array_equal(oracle.in_face, fs.in_face)
+
+
+class TestCertificate:
+    def test_paper_models_take_two_lps(self, paper_faces):
+        for _table, _model, _design, fs in paper_faces:
+            assert fs.iterations <= 2
+            assert fs.termination == "all_cells_in_face"
+
+
 class TestErrors:
     def test_all_zero_table(self):
         table = make_table((2, 2), [0, 0, 0, 0])
@@ -102,9 +207,11 @@ class TestInvariants:
 
     def test_monotone_progress(self, sweep):
         for table, _model, fs in sweep:
-            n_zero = len(table.zero_cells())
-            if n_zero:
-                assert 1 <= fs.iterations <= n_zero + 1
+            n_unpresolved = len(table.zero_cells()) - len(fs.presolved)
+            # no LP runs exactly when every zero cell is presolved
+            assert (fs.iterations == 0) == (n_unpresolved == 0)
+            if n_unpresolved:
+                assert 1 <= fs.iterations <= n_unpresolved + 1
 
     def test_face_dimension_bounds(self, sweep):
         from sparseloglin import build_design

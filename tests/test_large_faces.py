@@ -69,10 +69,23 @@ def test_three_way_2x8_matches_highs(seed, face_cells):
     assert fs.n_face_cells == face_cells
 
 
-def test_two_way_2x10_matches_highs():
+@pytest.fixture(scope="module")
+def two_way_2x10():
     table, model = two_way_instance(10)
     design = build_design(table, model)
-    fs = find_facial_set(table, model, design=design)
+    return table, design, find_facial_set(table, model, design=design)
+
+
+def test_two_way_2x10_matches_highs(two_way_2x10):
+    table, design, fs = two_way_2x10
+    assert np.array_equal(fs.in_face, highs_facial_set(design, table.counts))
+
+
+def test_two_way_2x10_settles_in_two_lps(two_way_2x10):
+    # one loop LP, then the certificate LP rescues every remaining candidate
+    table, design, fs = two_way_2x10
+    assert fs.iterations <= 2
+    assert fs.termination == "all_cells_in_face"
     assert np.array_equal(fs.in_face, highs_facial_set(design, table.counts))
 
 
