@@ -142,9 +142,9 @@ def find_facial_set(table, model, design=None, column_order=None):
     lp.SUPPORT_TOL, and the loop stops once the optimum is at most
     lp.SUPPORT_TOL; the face dimension is ``matrix_rank`` of the face
     rows.  ``iterations`` counts every LP, the certificate LP too.
-    ``column_order`` optionally permutes the LP variable ordering; the
-    result is invariant to it (the face is unique), which makes the
-    permutation a useful determinism audit in tests.
+    ``column_order`` optionally permutes the LP variable ordering (else
+    ValueError); the result is invariant to it (the face is unique),
+    which makes the permutation a useful determinism audit in tests.
     """
     _check_table(table)
     if design is None:
@@ -154,6 +154,8 @@ def find_facial_set(table, model, design=None, column_order=None):
     xt = design.matrix.T
 
     perm = np.arange(n_cells) if column_order is None else np.asarray(column_order)
+    if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(n_cells)):
+        raise ValueError(f"column_order must be a permutation of range({n_cells})")
     inv_perm = np.empty_like(perm)
     inv_perm[perm] = np.arange(n_cells)
     xt_perm = xt[:, perm]
@@ -207,7 +209,7 @@ def find_facial_set(table, model, design=None, column_order=None):
     in_face = ~active & ~off_face
     return FacialSet(
         in_face,
-        matrix_rank(design.matrix[in_face]),
+        matrix_rank(design.matrix[in_face]).rank,
         iterations,
         termination,
         tuple(removed_trace),
@@ -248,7 +250,7 @@ def per_cell_oracle(table, model, design=None):
             in_face[i] = True
 
     return FacialSet(
-        in_face, matrix_rank(design.matrix[in_face]), int(zeros.size), "per_cell", (), presolved
+        in_face, matrix_rank(design.matrix[in_face]).rank, int(zeros.size), "per_cell", (), presolved
     )
 
 

@@ -84,35 +84,6 @@ class FitResult:
         return tuple(c.term for c in self.coefficients if c.aliased)
 
 
-def _select_independent_columns(xf):
-    """Greedy maximal independent column subset, preferring earlier columns.
-
-    Walks the columns in order and keeps one whenever it is not in the
-    span of those already kept (twice-orthogonalized Gram-Schmidt): its
-    residual must exceed ncols * sqrt(eps) of its norm.  With the
-    canonical order this prefers lower-order terms, so the aliased
-    columns are the highest-order dependent ones.
-    """
-    rel_tol = xf.shape[1] * np.float64(np.finfo(np.float64).eps) ** 0.5
-    basis = []
-    kept = []
-    for j in range(xf.shape[1]):
-        v = xf[:, j]
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0.0:
-            continue
-        r = v.copy()
-        for q in basis:
-            r -= (q @ r) * q
-        for q in basis:
-            r -= (q @ r) * q
-        rnorm = np.linalg.norm(r)
-        if rnorm > rel_tol * norm0:
-            basis.append(r / rnorm)
-            kept.append(int(j))
-    return kept
-
-
 def _newton(X, y, theta0, grad_bound, step_tol, max_iter):
     """Maximize the Poisson log-likelihood y'(X theta) - sum(exp(X theta)).
 
@@ -235,10 +206,10 @@ def fit(
     With ``facial_set=None`` the model is fit on all cells (the
     ordinary MLE attempt; it diverges when the MLE does not exist
     unless ``require_convergence=False``).  ``columns`` may name an
-    explicit independent subset of design columns to estimate; the
-    fitted means do not depend on that choice, only the parametrization
-    does.  Newton converges once max|gradient| <= 1e-10 max(1, N) and
-    max|step| <= 1e-8 (1 + max|theta|).
+    explicit independent subset of design columns to estimate, as
+    distinct integers in [0, d); the fitted means do not depend on that
+    choice, only the parametrization does.  Newton converges once
+    max|gradient| <= 1e-10 max(1, N) and max|step| <= 1e-8 (1 + max|theta|).
     """
     if table.total == 0:
         raise FitError("all-zero table")
@@ -253,25 +224,27 @@ def fit(
         if np.any((table.counts > 0) & ~in_face):
             raise FitError("facial set excludes a cell with a positive count")
 
-    xf = design.matrix[in_face]
+    # a dense table's fit, all cells and columns kept, uses the design uncopied
+    xf = design.matrix if in_face.all() else design.matrix[in_face]
     nf = table.counts[in_face].astype(np.float64)
     n_face = int(in_face.sum())
     total = table.total
     d = design.d
-    d_face = matrix_rank(xf)
-
     if columns is None:
-        kept = _select_independent_columns(xf)
-        if len(kept) != d_face:
-            raise FitError(
-                f"column selection found {len(kept)} independent columns, rank is {d_face}"
-            )
+        d_face, kept = matrix_rank(xf)
     else:
-        kept = [int(j) for j in columns]
-        if matrix_rank(xf[:, kept]) != len(kept) or len(kept) != d_face:
+        kept = np.asarray(columns)
+        if (kept.ndim != 1 or kept.dtype.kind not in "iu"
+                or not np.isin(kept, range(d)).all() or np.unique(kept).size < kept.size):
+            raise FitError(f"columns must be distinct integers in [0, {d}), got {columns!r}")
+        kept = kept.tolist()
+        # listed first, the walk keeps exactly them iff they are maximal independent
+        rest = sorted(set(range(d)) - set(kept))
+        d_face, order = matrix_rank(xf[:, kept + rest])
+        if order != tuple(range(len(kept))):
             raise FitError("explicit column set is not a maximal independent subset")
 
-    x_star = np.ascontiguousarray(xf[:, kept])
+    x_star = xf if list(kept) == list(range(d)) else np.ascontiguousarray(xf[:, kept])
     theta0 = np.zeros(len(kept))
     if kept and kept[0] == 0:
         theta0[0] = math.log(total / n_face)

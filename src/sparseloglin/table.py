@@ -163,8 +163,8 @@ def parse_table(source, freq_column="freq"):
         raise TableError("empty input")
 
     header = _split_row(lines[0])
-    if freq_column not in header:
-        raise TableError(f"frequency column {freq_column!r} not in header {header}")
+    if header.count(freq_column) != 1:
+        raise TableError(f"frequency column {freq_column!r} must appear once in header {header}")
     freq_pos = header.index(freq_column)
     factor_names = [h for h in header if h != freq_column]
     if not factor_names:

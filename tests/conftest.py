@@ -1,5 +1,7 @@
 """Shared fixtures: canonical tables and randomized instances."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,11 @@ def iter_instances(n, seed=20240814):
     rng = np.random.default_rng(seed)
     for _ in range(n):
         yield random_instance(rng)
+
+
+def three_way_instance(seed):
+    """2^8 table with 85% zeros under all 56 three-way generators."""
+    rng = np.random.default_rng([seed, 8, 3])
+    counts = np.where(rng.random(256) < 0.85, 0, rng.poisson(2.0, 256) + 1)
+    gens = "".join(f"[{''.join(g)}]" for g in itertools.combinations("abcdefgh", 3))
+    return make_table((2,) * 8, counts), parse_generators(gens)

@@ -197,3 +197,11 @@ class TestExitCodes:
         assert out == ""
         assert "all-zero table" in err
         assert "numerical" not in err
+
+    def test_frequency_column_named_twice_is_data_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,freq,freq\n0,1,2\n1,3,4\n")
+        code, out, err = run_cli("--data", str(path), "--formula", "[a]")
+        assert code == cli.EXIT_DATA
+        assert out == ""
+        assert "must appear once" in err

@@ -7,14 +7,17 @@ from sparseloglin import (
     ContingencyTable,
     FactorSpec,
     build_design,
+    find_facial_set,
     marginal,
     parse_formula,
     parse_generators,
     sufficient_statistic,
 )
-from sparseloglin.design import matrix_rank
+from sparseloglin.datasets import rochdale
+from sparseloglin.design import Rank, matrix_rank
 
-from conftest import iter_instances, make_table
+from conftest import iter_instances, make_table, three_way_instance
+from test_acceptance import BIC_ROWS, CBIC_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +36,7 @@ class TestBuildDesign:
     def test_entries_binary_and_full_rank(self, haberman_design):
         m = haberman_design.matrix
         assert set(np.unique(m)) <= {0.0, 1.0}
-        assert matrix_rank(m) == haberman_design.d
+        assert matrix_rank(m).rank == haberman_design.d
 
     def test_rochdale_model_dimension_24(self):
         table = make_table((2,) * 8, np.ones(256, dtype=int))
@@ -99,6 +102,88 @@ class TestBudget:
             tracemalloc.stop()
         assert design.d == 1
         assert peak < 64 * 2**20
+
+
+def gram_schmidt_reference(a):
+    """Greedy independent columns by twice-orthogonalized Gram-Schmidt on a.
+
+    The reference for ``matrix_rank``: the same rule, a column is kept
+    when its residual exceeds ncols * sqrt(eps) of its norm, applied to
+    the columns of a itself one projection at a time, without the QR.
+    """
+    rel_tol = a.shape[1] * np.finfo(np.float64).eps ** 0.5
+    basis = []
+    kept = []
+    for j in range(a.shape[1]):
+        v = a[:, j]
+        norm0 = np.linalg.norm(v)
+        if norm0 == 0.0:
+            continue
+        r = v.copy()
+        for q in basis:
+            r -= (q @ r) * q
+        for q in basis:
+            r -= (q @ r) * q
+        rnorm = np.linalg.norm(r)
+        if rnorm > rel_tol * norm0:
+            basis.append(r / rnorm)
+            kept.append(j)
+    return tuple(kept)
+
+
+def designs_and_faces(cases):
+    """The design matrix and its face rows for each (table, model)."""
+    for table, model in cases:
+        design = build_design(table, model)
+        fs = find_facial_set(table, model, design=design)
+        yield design.matrix
+        yield design.matrix[fs.in_face]
+
+
+class TestMatrixRank:
+    def assert_matches_reference(self, matrices):
+        n = 0
+        for a in matrices:
+            got = matrix_rank(a)
+            assert got.columns == gram_schmidt_reference(a)
+            assert got.rank == len(got.columns)
+            n += 1
+        return n
+
+    def test_sweep_designs_and_faces(self):
+        assert self.assert_matches_reference(designs_and_faces(iter_instances(120, seed=99))) == 240
+
+    def test_paper_model_faces(self):
+        table = rochdale()
+        models = dict.fromkeys(gens for gens, _ in CBIC_ROWS + BIC_ROWS)
+        cases = [(table, parse_generators(gens)) for gens in models]
+        assert self.assert_matches_reference(designs_and_faces(cases)) == 18
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_three_way_2x8(self, seed):
+        assert self.assert_matches_reference(designs_and_faces([three_way_instance(seed)])) == 2
+
+    def test_later_column_after_dependent_one(self):
+        # unpivoted QR gives R's diagonal (1, 0, 0) here, but e2 is independent
+        e1, e2 = np.eye(3)[:, 0], np.eye(3)[:, 1]
+        a = np.column_stack([e1, e1, e2])
+        assert np.count_nonzero(np.abs(np.diag(np.linalg.qr(a, mode="r"))) > 0.5) == 1
+        assert matrix_rank(a) == Rank(2, (0, 2))
+
+    def test_fewer_rows_than_columns(self):
+        a = np.array([[1.0, 1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0, 0.0]])
+        assert matrix_rank(a) == Rank(2, (0, 1))
+        assert matrix_rank(a[:, [3, 0, 1]]) == Rank(2, (0, 1))
+        assert matrix_rank(a[:, [4, 0, 1, 2]]) == Rank(2, (1, 2))
+
+    def test_zero_column_is_dropped(self):
+        a = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        assert matrix_rank(a) == Rank(2, (1, 2))
+        assert matrix_rank(np.zeros((4, 3))) == Rank(0, ())
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_matrix(self, shape):
+        assert matrix_rank(np.zeros(shape)) == Rank(0, ())
 
 
 class TestSufficientStatistic:

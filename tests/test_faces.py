@@ -184,6 +184,15 @@ class TestCertificate:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "order",
+        [np.zeros(27, dtype=int), np.r_[np.arange(26), 25], np.arange(26), np.arange(27.0)],
+        ids=["all_zero", "repeat", "short", "float"],
+    )
+    def test_column_order_must_be_permutation(self, table3x3x3, order):
+        with pytest.raises(ValueError, match=r"permutation of range\(27\)"):
+            find_facial_set(table3x3x3, parse_generators("[ab][ac][bc]"), column_order=order)
+
     def test_all_zero_table(self):
         table = make_table((2, 2), [0, 0, 0, 0])
         with pytest.raises(ValueError, match="all-zero"):

@@ -161,12 +161,26 @@ class TestColumnSelectionInvariance:
         assert alt.estimable_columns != base.estimable_columns
         np.testing.assert_allclose(alt.fitted_means, base.fitted_means, atol=1e-8)
         assert alt.loglik == pytest.approx(base.loglik, abs=1e-9)
+        same = fit(haberman_table, model, fs, columns=np.array(kept))
+        assert same.estimable_columns == base.estimable_columns
+        assert same.face_dimension == alt.face_dimension == 6
 
     def test_bad_explicit_columns_rejected(self, haberman_table):
         model = parse_generators("[ab][ac][bc]")
         fs = find_facial_set(haberman_table, model)
         with pytest.raises(FitError, match="independent"):
             fit(haberman_table, model, fs, columns=[0, 1, 2])
+
+    @pytest.mark.parametrize(
+        "columns",
+        [[0, 1, 2, 3, 4, -1], [0, 1, 2, 3, 4, 7], [0, 1, 2, 3, 4, 4], [0, 1, 2, 3, 4, 5.0], [[0, 1, 2], [3, 4, 5]]],
+        ids=["negative", "past_d", "duplicate", "float", "nested"],
+    )
+    def test_explicit_columns_must_be_distinct_indices(self, haberman_table, columns):
+        model = parse_generators("[ab][ac][bc]")
+        fs = find_facial_set(haberman_table, model)
+        with pytest.raises(FitError, match="columns must be"):
+            fit(haberman_table, model, fs, columns=columns)
 
 
 class TestExistenceSplit:

@@ -12,7 +12,7 @@ import pytest
 
 from sparseloglin import build_design, find_facial_set, parse_generators
 
-from conftest import make_table
+from conftest import make_table, three_way_instance
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -42,14 +42,6 @@ def highs_facial_set(design, counts):
     in_face = counts > 0
     in_face[zeros] = res.x[n : n + k] > 0.5
     return in_face
-
-
-def three_way_instance(seed):
-    """2^8 table with 85% zeros under all 56 three-way generators."""
-    rng = np.random.default_rng([seed, 8, 3])
-    counts = np.where(rng.random(256) < 0.85, 0, rng.poisson(2.0, 256) + 1)
-    gens = "".join(f"[{''.join(g)}]" for g in itertools.combinations(NAMES[:8], 3))
-    return make_table((2,) * 8, counts), parse_generators(gens)
 
 
 def two_way_instance(k):

@@ -32,6 +32,10 @@ class TestParse:
         with pytest.raises(TableError, match="duplicate"):
             parse_table(text)
 
+    def test_frequency_column_named_twice_rejected(self):
+        with pytest.raises(TableError, match="must appear once"):
+            parse_table("a,freq,freq\n0,1,2\n1,3,4\n")
+
     def test_single_level_factor_rejected(self):
         with pytest.raises(TableError, match="levels"):
             parse_table("a b freq\n0 0 3\n0 1 2\n")
