@@ -150,7 +150,6 @@ def find_facial_set(table, model, design=None, column_order=None):
     if design is None:
         design = build_design(table, model)
     n_cells = table.n_cells
-    t_prime = _binarized_statistic(table, design)
     xt = design.matrix.T
 
     perm = np.arange(n_cells) if column_order is None else np.asarray(column_order)
@@ -158,7 +157,6 @@ def find_facial_set(table, model, design=None, column_order=None):
         raise ValueError(f"column_order must be a permutation of range({n_cells})")
     inv_perm = np.empty_like(perm)
     inv_perm[perm] = np.arange(n_cells)
-    xt_perm = xt[:, perm]
 
     presolved, off_face = _presolve(table, model)
     active = (table.counts == 0) & ~off_face  # candidate non-face cells, the loop's A
@@ -172,6 +170,9 @@ def find_facial_set(table, model, design=None, column_order=None):
         termination = "all_zeros_presolved"
     else:
         termination = "all_cells_in_face"
+    if active.any():  # only the LPs need t' and the permuted design
+        t_prime = _binarized_statistic(table, design)
+        xt_perm = xt[:, perm]
 
     while active.any():
         c = active.astype(np.float64)
@@ -209,7 +210,7 @@ def find_facial_set(table, model, design=None, column_order=None):
     in_face = ~active & ~off_face
     return FacialSet(
         in_face,
-        matrix_rank(design.matrix[in_face]).rank,
+        matrix_rank(design.matrix if in_face.all() else design.matrix[in_face]).rank,
         iterations,
         termination,
         tuple(removed_trace),

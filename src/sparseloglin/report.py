@@ -3,6 +3,15 @@
 The JSON-ready dict is the machine contract (``schema_version`` 1);
 the text rendering is formatted from the same dict, so the two always
 carry identical numbers.
+
+``render_json`` returns exactly the bytes of ``json.dumps(report,
+indent=2) + "\n"``.  With ``indent`` set, json always runs its
+pure-Python encoder (the C encoder only serves compact output), which
+visits about 20 nested objects per ``face`` row.  So each top-level
+value but ``face`` is still encoded by ``json.dumps``, while the face
+rows, whose shape ``build_report`` fixes, are written by one formatter
+with json's own string escaping, ``float.__repr__`` and the same
+indentation and separators.
 """
 
 import json
@@ -24,18 +33,26 @@ def _jsonable(value):
     return value
 
 
+def _jsonable_list(values):
+    """A float array as a list, with None for each non-finite entry."""
+    values = np.asarray(values, dtype=np.float64)
+    out = values.tolist()
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        out[i] = None
+    return out
+
+
 def build_report(formula_text, table, design, facial_set, fit_result=None, oracle=None):
     """Assemble the run report as a plain dict."""
-    labels = table.cell_labels()
-    counts = table.counts
-    face_rows = [
-        {
-            "levels": [str(x) for x in labels[i]],
-            "count": int(counts[i]),
-            "in_face": int(facial_set.in_face[i]),
-        }
-        for i in range(table.n_cells)
-    ]
+    levels = list(map(list, zip(*table.label_columns(str))))
+    rows = zip(levels, table.counts.tolist(), facial_set.in_face.astype(np.int64).tolist())
+    if fit_result is None:
+        face_rows = [{"levels": lv, "count": n, "in_face": f} for lv, n, f in rows]
+    else:
+        face_rows = [
+            {"levels": lv, "count": n, "in_face": f, "fitted": m}
+            for (lv, n, f), m in zip(rows, _jsonable_list(fit_result.fitted_means))
+        ]
     report = {
         "schema_version": SCHEMA_VERSION,
         "formula": formula_text,
@@ -43,7 +60,7 @@ def build_report(formula_text, table, design, facial_set, fit_result=None, oracl
         "status": facial_set.status,
         "iterations": facial_set.iterations,
         "presolved": [
-            {"cell": cell, "levels": [str(x) for x in labels[cell]], "generator": list(gen)}
+            {"cell": cell, "levels": list(levels[cell]), "generator": list(gen)}
             for cell, gen in facial_set.presolved
         ],
         "factors": list(table.factor_names),
@@ -61,8 +78,6 @@ def build_report(formula_text, table, design, facial_set, fit_result=None, oracl
             "lp_solves": oracle.iterations,
         }
     if fit_result is not None:
-        for i, row in enumerate(face_rows):
-            row["fitted"] = _jsonable(float(fit_result.fitted_means[i]))
         report["max_loglik"] = _jsonable(fit_result.loglik)
         report["coefficients"] = [
             {
@@ -146,5 +161,24 @@ def render_text(report):
     return "\n".join(out) + "\n"
 
 
+def _face_json(rows):
+    """json.dumps(rows, indent=2) of build_report's face rows, nested one level."""
+    enc = json.encoder.encode_basestring_ascii
+    out = []
+    for row in rows:
+        text = '    {\n      "levels": [\n        ' + ",\n        ".join(map(enc, row["levels"]))
+        text += '\n      ],\n      "count": %d,\n      "in_face": %d' % (row["count"], row["in_face"])
+        if "fitted" in row:
+            fitted = row["fitted"]
+            text += ',\n      "fitted": ' + ("null" if fitted is None else float.__repr__(fitted))
+        out.append(text + "\n    }")
+    return "[\n" + ",\n".join(out) + "\n  ]"
+
+
 def render_json(report):
-    return json.dumps(report, indent=2) + "\n"
+    """A report of build_report as ``json.dumps(report, indent=2) + "\\n"``, byte for byte."""
+    items = []
+    for key, value in report.items():
+        text = _face_json(value) if key == "face" else json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"

@@ -27,6 +27,9 @@ __all__ = [
 # table, or a design's n_cells x d matrix (128 MiB of float64).
 DENSE_BUDGET = 2**24
 
+# Largest cell count, and largest total, that int64 counts can hold.
+COUNT_MAX = 2**63 - 1
+
 
 class TableError(ValueError):
     """Malformed table input: duplicate cells, bad counts, ragged rows."""
@@ -70,13 +73,22 @@ class ContingencyTable:
         names = [f.name for f in self.factors]
         if len(set(names)) != len(names):
             raise TableError("duplicate factor names")
-        counts = np.asarray(self.counts, dtype=np.int64)
+        try:
+            counts = np.asarray(self.counts, dtype=np.int64)
+        except OverflowError:
+            raise TableError(f"a cell count is outside the int64 range (max {COUNT_MAX})") from None
         if counts.shape != (self.n_cells,):
             raise TableError(
                 f"counts has shape {counts.shape}, expected ({self.n_cells},)"
             )
         if (counts < 0).any():
             raise TableError("negative cell count")
+        # the int64 sum wraps silently, so a total that might pass
+        # COUNT_MAX is summed again in exact integers
+        if counts.size and int(counts.max()) > COUNT_MAX // counts.size:
+            total = int(counts.sum(dtype=object))
+            if total > COUNT_MAX:
+                raise TableError(f"total count {total} exceeds the int64 range (max {COUNT_MAX})")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
@@ -115,12 +127,23 @@ class ContingencyTable:
                 raise TableError(f"coordinate {c} out of range for factor {f.name!r}")
         return int(np.ravel_multi_index(coords, self.shape))
 
+    def label_columns(self, convert=None):
+        """Level labels of every cell, one list per factor, in canonical order.
+
+        Each factor's levels are indexed by its column of ``cell_coords``
+        at once; ``convert`` (e.g. ``str``) is applied once per level,
+        not once per cell.
+        """
+        coords = self.cell_coords()
+        columns = []
+        for k, f in enumerate(self.factors):
+            levels = f.levels if convert is None else [convert(v) for v in f.levels]
+            columns.append(np.fromiter(levels, dtype=object, count=f.n_levels)[coords[:, k]].tolist())
+        return columns
+
     def cell_labels(self):
-        """Level labels of every cell in canonical order."""
-        return [
-            tuple(f.levels[c] for f, c in zip(self.factors, coords))
-            for coords in self.cell_coords()
-        ]
+        """Level labels of every cell in canonical order, one tuple per cell."""
+        return list(zip(*self.label_columns()))
 
     def zero_cells(self):
         """Flat positions of the sampling zeros."""
@@ -151,8 +174,9 @@ def parse_table(source, freq_column="freq"):
     ``source`` is a string or an iterable of lines.  The header names
     the factor columns plus the frequency column; each data row names
     one cell.  Cells absent from the input get count 0.  Duplicate
-    cells, ragged rows, negative or non-integer frequencies, and more
-    than DENSE_BUDGET cells are errors.
+    cells, ragged rows, negative or non-integer frequencies, a frequency
+    or total above COUNT_MAX, and more than DENSE_BUDGET cells are
+    errors.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -171,6 +195,7 @@ def parse_table(source, freq_column="freq"):
         raise TableError("no factor columns")
 
     rows = []
+    total = 0
     for lineno, ln in enumerate(lines[1:], start=2):
         toks = _split_row(ln)
         if len(toks) != len(header):
@@ -182,8 +207,13 @@ def parse_table(source, freq_column="freq"):
             raise TableError(f"line {lineno}: non-integer frequency {freq_tok!r}") from None
         if freq < 0:
             raise TableError(f"line {lineno}: negative frequency {freq}")
+        if freq > COUNT_MAX:
+            raise TableError(f"line {lineno}: frequency {freq} exceeds the int64 range (max {COUNT_MAX})")
+        total += freq
         levels = tuple(t for i, t in enumerate(toks) if i != freq_pos)
         rows.append((levels, freq, lineno))
+    if total > COUNT_MAX:
+        raise TableError(f"total count {total} exceeds the int64 range (max {COUNT_MAX})")
 
     factors = tuple(
         FactorSpec(name, _levels_from_column([r[0][k] for r in rows]))

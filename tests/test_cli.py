@@ -205,3 +205,20 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         assert out == ""
         assert "must appear once" in err
+
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            ("99999999999999999999", "frequency 99999999999999999999 exceeds"),
+            ("9223372036854775807", "total count 9223372036854775809 exceeds"),
+        ],
+        ids=["count", "total"],
+    )
+    def test_counts_beyond_int64_are_data_errors(self, count, message, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,b,freq\n0,0,{count}\n1,1,2\n")
+        code, out, err = run_cli("--data", str(path), "--formula", "[a][b]")
+        assert code == cli.EXIT_DATA
+        assert out == ""
+        assert message in err
+        assert "numerical" not in err

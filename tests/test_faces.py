@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sparseloglin import (
+    ContingencyTable,
+    FactorSpec,
     LinearProgram,
     binarize,
     build_design,
@@ -115,6 +119,24 @@ class TestAllPositive:
         assert fs.termination == "initial_A_empty"
         assert fs.face_dimension == 7
         assert mle_exists(fs)
+
+    def test_no_lp_makes_no_copy_of_the_design(self):
+        # all-positive 2^12 table, all-two-way model: no LP, so no
+        # binarized statistic, no permuted design and no face-row copy
+        names = "abcdefghijkl"
+        counts = np.random.default_rng(12).poisson(3.0, 2**12) + 1
+        table = ContingencyTable(tuple(FactorSpec(n, ("0", "1")) for n in names), counts)
+        model = parse_generators("".join(f"[{a}{b}]" for i, a in enumerate(names) for b in names[i + 1 :]))
+        design = build_design(table, model)
+        tracemalloc.start()
+        try:
+            fs = find_facial_set(table, model, design=design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fs.in_face.all() and fs.iterations == 0
+        assert fs.face_dimension == design.d == 79
+        assert peak < design.matrix.nbytes
 
     def test_oracle_all_positive_runs_no_lps(self):
         table = make_table((2, 2), [1, 1, 1, 1])

@@ -1,0 +1,187 @@
+"""The report's dict, its JSON bytes and its text against per-cell references."""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+
+from sparseloglin import (
+    ContingencyTable,
+    FactorSpec,
+    build_design,
+    find_facial_set,
+    fit,
+    parse_generators,
+    parse_table,
+    per_cell_oracle,
+    serialize_table,
+)
+from sparseloglin.datasets import example3x3x3, haberman, rochdale
+from sparseloglin.report import build_report, render_json, render_text
+
+from test_faces import PAPER_MODELS
+
+
+def json_reference(report):
+    """What render_json must return: json's own indented encoding."""
+    return json.dumps(report, indent=2) + "\n"
+
+
+def cell_labels_reference(table):
+    """One tuple per cell, built cell by cell from its coordinates."""
+    return [tuple(f.levels[c] for f, c in zip(table.factors, coords)) for coords in table.cell_coords()]
+
+
+def _jsonable(value):
+    return None if not math.isfinite(value) else value
+
+
+def report_reference(report, table, facial_set, fit_result):
+    """``report`` with its per-cell parts rebuilt one cell at a time."""
+    labels = cell_labels_reference(table)
+    face = [
+        {
+            "levels": [str(x) for x in labels[i]],
+            "count": int(table.counts[i]),
+            "in_face": int(facial_set.in_face[i]),
+        }
+        for i in range(table.n_cells)
+    ]
+    if fit_result is not None:
+        for i, row in enumerate(face):
+            row["fitted"] = _jsonable(float(fit_result.fitted_means[i]))
+    presolved = [
+        {"cell": cell, "levels": [str(x) for x in labels[cell]], "generator": list(gen)}
+        for cell, gen in facial_set.presolved
+    ]
+    return {**report, "face": face, "presolved": presolved}
+
+
+def analyse(table, formula, with_fit=True, oracle=False):
+    model = parse_generators(formula)
+    design = build_design(table, model)
+    fs = find_facial_set(table, model, design=design)
+    res = fit(table, model, fs, design=design) if with_fit else None
+    orc = per_cell_oracle(table, model, design=design) if oracle else None
+    return build_report(formula, table, design, fs, fit_result=res, oracle=orc), fs, res
+
+
+def special_labels_table():
+    """Level labels json must escape, non-ASCII ones, ints, and zero margins."""
+    factors = (
+        FactorSpec("a", ('say "hi"', "back\\slash", "tab\there")),
+        FactorSpec("b", ("é", "日本", "new\nline", ", ")),
+        FactorSpec("c", (1, 2)),
+    )
+    counts = np.arange(24) % 5
+    counts[8:16] = 0  # b = "new\nline" in neither row: zero [ab] and [bc] margins
+    return ContingencyTable(factors, counts)
+
+
+def two_way(k):
+    names = "abcdefghij"
+    return "".join(f"[{names[i]}{names[j]}]" for i in range(k) for j in range(i + 1, k))
+
+
+def dense_table(k):
+    counts = np.random.default_rng([k, 1]).poisson(3.0, 2**k) + 1
+    return ContingencyTable(tuple(FactorSpec("abcdefghij"[i], ("0", "1")) for i in range(k)), counts)
+
+
+# (table maker, model, fit?, oracle?) per report
+CASES = [
+    *[
+        pytest.param((rochdale, gens, with_fit, False), id=f"paper {i} {'fit' if with_fit else 'facial'}")
+        for i, gens in enumerate(PAPER_MODELS)
+        for with_fit in (True, False)
+    ],
+    pytest.param((haberman, "[ab][ac][bc]", True, True), id="haberman oracle"),
+    pytest.param((example3x3x3, "[ab][ac][bc]", True, True), id="example3x3x3"),
+    pytest.param((lambda: dense_table(10), two_way(10), True, False), id="dense 2^10"),
+    pytest.param((special_labels_table, "[ab][bc]", True, True), id="special labels"),
+    pytest.param((special_labels_table, "[ab][bc]", False, False), id="special labels facial"),
+]
+
+
+@pytest.fixture(scope="module", params=CASES)
+def case(request):
+    make, formula, with_fit, oracle = request.param
+    table = make()
+    report, fs, res = analyse(table, formula, with_fit, oracle)
+    return table, report, fs, res
+
+
+class TestRenderJson:
+    def test_bytes_equal_json_dumps(self, case):
+        _, report, _, _ = case
+        assert render_json(report) == json_reference(report)
+
+    def test_non_finite_fitted_become_null(self):
+        table = haberman()
+        model = parse_generators("[ab][ac][bc]")
+        design = build_design(table, model)
+        fs = find_facial_set(table, model, design=design)
+        res = fit(table, model, fs, design=design)
+        means = res.fitted_means.copy()
+        means[[1, 2, 5]] = [np.nan, np.inf, -np.inf]
+        report = build_report("[ab][ac][bc]", table, design, fs, fit_result=dataclasses.replace(res, fitted_means=means))
+        assert [row["fitted"] for row in report["face"]][1:6] == [None, None, means[3], means[4], None]
+        text = render_json(report)
+        assert text == json_reference(report)
+        assert '"fitted": null' in text
+
+    def test_escaped_and_non_ascii_labels(self):
+        report, _, _ = analyse(special_labels_table(), "[ab][bc]")
+        text = render_json(report)
+        assert text == json_reference(report)
+        for escaped in (r'"say \"hi\""', r'"back\\slash"', r'"tab\there"', r'"\u00e9"', r'"\u65e5\u672c"', r'"new\nline"'):
+            assert escaped in text
+        assert text.isascii()
+        assert report["presolved"]  # the labels pass through json.dumps there as well
+        assert json.loads(text) == report
+
+
+class TestBuildReport:
+    def test_rows_equal_per_cell_reference(self, case):
+        table, report, fs, res = case
+        want = report_reference(report, table, fs, res)
+        assert json_reference(report) == json_reference(want)  # also tells 1 from True
+        assert render_text(report) == render_text(want)
+
+    def test_presolved_levels_are_their_own_lists(self):
+        report, _, _ = analyse(rochdale(), PAPER_MODELS[0], with_fit=False)
+        first = report["presolved"][0]
+        assert first["levels"] == report["face"][first["cell"]]["levels"]
+        assert first["levels"] is not report["face"][first["cell"]]["levels"]
+
+
+class TestCellLabels:
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            [("0", "1"), ("x", "y", "z")],
+            [(3, 1, 2), ("lo", "hi"), (10, 20, 30, 40)],
+            [("a", "b"), (0, 1), ("p", "q", "r"), (True, False)],
+        ],
+    )
+    def test_equals_per_cell_reference(self, levels):
+        factors = tuple(FactorSpec(f"f{k}", tuple(lv)) for k, lv in enumerate(levels))
+        table = ContingencyTable(factors, np.arange(math.prod(len(lv) for lv in levels)))
+        got = table.cell_labels()
+        want = cell_labels_reference(table)
+        assert got == want
+        assert [tuple(map(type, g)) for g in got] == [tuple(map(type, w)) for w in want]
+        assert table.label_columns(str) == [list(col) for col in zip(*([str(x) for x in w] for w in want))]
+
+    def test_serialize_parse_roundtrip(self):
+        # parse_table sorts numeric labels ascending, so these are ascending
+        ints = ContingencyTable(
+            (FactorSpec("x", (1, 2, 10)), FactorSpec("y", ("lo", "mid", "hi"))), np.arange(9) % 4
+        )
+        for table in (example3x3x3(), rochdale(), ints):
+            back = parse_table(serialize_table(table))
+            assert back.factor_names == table.factor_names
+            assert back.cell_labels() == [tuple(str(x) for x in lab) for lab in table.cell_labels()]
+            assert np.array_equal(back.counts, table.counts)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseloglin import TableError, binarize, marginal, parse_table, serialize_table
+from sparseloglin import ContingencyTable, TableError, binarize, marginal, parse_table, serialize_table
 
 from conftest import make_table
 
@@ -62,6 +62,15 @@ class TestParse:
         table = parse_table(text)
         assert table.factors[0].levels == ("2", "10")
         assert table.counts.tolist() == [2, 1]
+
+    def test_frequency_beyond_int64_rejected(self):
+        with pytest.raises(TableError, match="line 2: frequency 99999999999999999999 exceeds the int64"):
+            parse_table("a,b,freq\n0,0,99999999999999999999\n1,1,2\n")
+
+    def test_total_beyond_int64_rejected(self):
+        parse_table("a,b,freq\n0,0,9223372036854775806\n1,1,1\n")  # the total is 2^63 - 1
+        with pytest.raises(TableError, match="total count 9223372036854775809 exceeds the int64"):
+            parse_table("a,b,freq\n0,0,9223372036854775807\n1,1,2\n")
 
     def test_custom_freq_column(self):
         table = parse_table("count a\n3 0\n1 1\n", freq_column="count")
@@ -125,6 +134,23 @@ class TestRoundTrip:
     def test_haberman_roundtrip(self, haberman_table):
         back = parse_table(serialize_table(haberman_table))
         assert np.array_equal(back.counts, haberman_table.counts)
+
+
+class TestCountRange:
+    """Library callers get the int64 checks of parse_table too."""
+
+    def test_count_beyond_int64_rejected(self):
+        factors = make_table((2,), [0, 0]).factors
+        with pytest.raises(TableError, match="int64 range"):
+            ContingencyTable(factors, [10**20, 2])
+
+    def test_total_beyond_int64_rejected(self):
+        factors = make_table((2, 2), [0] * 4).factors
+        with pytest.raises(TableError, match="total count 9223372036854775809"):
+            ContingencyTable(factors, np.array([2**63 - 1, 2, 0, 0], dtype=np.int64))
+        with pytest.raises(TableError, match="total count"):
+            ContingencyTable(factors, np.full(4, 2**62, dtype=np.int64))
+        assert ContingencyTable(factors, [2**62, 2**62 - 1, 0, 0]).total == 2**63 - 1
 
 
 class TestImmutability:
