@@ -9,7 +9,6 @@ full column rank, which ``matrix_rank`` verifies at construction.
 """
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -21,11 +20,22 @@ from .table import DENSE_BUDGET
 __all__ = ["ColumnLabel", "DesignMatrix", "SufficientStatistic", "build_design", "sufficient_statistic", "matrix_rank", "Rank"]
 
 
-Rank = namedtuple("Rank", ["rank", "columns"])
+@dataclass(frozen=True)
+class Rank:
+    """Numerical rank, the kept columns J and the aliasing of the others.
+
+    ``aliasing`` is W with a[:, dropped] = a[:, J] @ W, dropped being
+    the columns not in J in order; it has shape (rank, ncols - rank).
+    Ranks compare by rank and columns only.
+    """
+
+    rank: int
+    columns: tuple
+    aliasing: np.ndarray = field(default=None, compare=False, repr=False)
 
 
 def matrix_rank(a):
-    """Rank(rank, columns): numerical rank and greedy independent columns.
+    """Rank(rank, columns, aliasing): rank and greedy independent columns.
 
     Walks the columns in order and keeps one when, orthogonalized twice
     against those kept, its residual exceeds ncols * sqrt(eps) of its
@@ -35,10 +45,14 @@ def matrix_rank(a):
     dependent one, as in [e1, e1, e2].  On the bundled datasets' designs
     and faces, kept columns have relative residuals >= 0.35 and dropped
     ones are zero or <= 4.3e-16 (the threshold is 3.6e-7 at 24 columns).
+    a = QR gives a's column relations from R's, so the aliasing W
+    solves R[:, J] W = R[:, dropped] in least squares, through the
+    walk's orthonormal basis of R[:, J]; it is computed only when a
+    column is dropped.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.size == 0:
-        return Rank(0, ())
+        return Rank(0, (), np.zeros((0, a.shape[1])))
     r = np.empty((0, a.shape[1]))
     for start in range(0, a.shape[0], 1024):
         r = np.linalg.qr(np.vstack((r, a[start : start + 1024])), mode="r")
@@ -56,7 +70,12 @@ def matrix_rank(a):
         if norm > floor[j]:
             q[:, len(kept)] = res / norm
             kept.append(j)
-    return Rank(len(kept), tuple(kept))
+    dropped = sorted(set(range(n)) - set(kept))
+    aliasing = np.zeros((len(kept), len(dropped)))
+    if kept and dropped:
+        basis = q[:, : len(kept)]  # R[:, kept] = basis T, T triangular
+        aliasing = np.linalg.solve(basis.T @ r[:, kept], basis.T @ r[:, dropped])
+    return Rank(len(kept), tuple(kept), aliasing)
 
 
 @dataclass(frozen=True)

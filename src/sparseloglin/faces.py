@@ -1,9 +1,9 @@
 """Facial set detection: which cells support the sufficient statistic.
 
-The marginal cone of a model is generated by the design rows f_i.  The
-sufficient statistic t lies in the relative interior of exactly one
-face F; the cells whose rows lie on F form the facial set, and the MLE
-exists precisely when every cell is in it.
+The marginal cone C of a model is generated by the design rows x_i.
+The sufficient statistic t lies in the relative interior of exactly
+one face F; the cells whose rows lie on F form the facial set, and the
+MLE exists precisely when every cell is in it.
 
 Only the zero pattern of the counts matters, so everything runs on the
 binarized statistic t' (counts replaced by 0/1), which also keeps the
@@ -14,16 +14,17 @@ LPs well scaled.  The face is found in three steps:
   X'a = t' has that margin equal to 0, so a puts no mass on the cell.
   These cells leave the candidate set before any LP runs (the outer
   approximation of Wang, Rauh & Massam, Ann. Statist. 47(3), 2019).
+* Span closure.  Every face of a polyhedral cone is exposed, so
+  F = C ∩ span(F) (the linear-algebra view of faces of Fienberg &
+  Rinaldo, Ann. Statist. 40(2), 2012).  The known face cells K, the
+  positive cells and those rescued so far, lie on F, so every
+  candidate whose row lies in span(X_K) is on F too and joins the
+  face with no LP; when X_K has full column rank, every candidate
+  does.  This is the inner counterpart of the presolve.
 * Repeated LPs.  Each LP maximizes the mass that nonnegative solutions
   of X'a = t' can place on the remaining candidates; any cell that
-  receives mass is moved into the face, and the loop stops when the
-  optimum is zero or no candidates remain.
-* Certificate LP.  After the first LP that rescues cells, one extra LP
-  asks for a solution positive on every remaining candidate at once
-  (the single-LP view of Fienberg & Rinaldo, Ann. Statist. 40(2),
-  2012).  When it finds one, every candidate is in the face and the
-  loop ends; otherwise the cells it did reach are rescued and the loop
-  goes on.
+  receives mass is moved into the face and the closure runs again.
+  The loop stops when the optimum is zero or no candidates remain.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +36,12 @@ from .design import build_design, matrix_rank, sufficient_statistic
 from .table import TableError
 
 __all__ = ["FacialSet", "find_facial_set", "per_cell_oracle", "mle_exists"]
+
+# A candidate row x is in span(X_K) when max|x[dropped] - x[J] W| is at
+# most SPAN_TOL (see design.Rank).  On 1500 sweep instances, the paper's
+# models and the three-way 2^8 to 2^10 tables, rows in the span are
+# within 2.5e-14 and rows outside it at least 0.5 away.
+SPAN_TOL = 1e-6
 
 
 _STATUS = {
@@ -54,10 +61,13 @@ class FacialSet:
     face_dimension: int
     iterations: int  # LP solves performed
     termination: str  # a key of _STATUS
-    removed_per_iteration: tuple  # cells moved into the face by each rescuing LP
+    # each batch of cells moved into the face, by the span closure or
+    # by an LP, in the order they entered
+    removed_per_iteration: tuple
     # (cell, generator) per presolved cell; the generator is the first
     # one, in canonical order, whose margin is zero there
     presolved: tuple
+    span_closed: tuple = ()  # cells the span closure moved into the face
 
     @property
     def status(self):
@@ -126,62 +136,77 @@ def _solve_facial(problem, basis, bound):
 
 
 def find_facial_set(table, model, design=None, column_order=None):
-    """Find the facial set: presolve, repeated LPs and one certificate LP.
+    """Find the facial set: presolve, then span closure and repeated LPs.
 
     Zero cells in a zero generator margin of the binarized table are
     presolved off the face; their LP columns stay, with objective 0,
     so every LP keeps the constraints X'a = t' and each starts from the
-    previous loop LP's optimal basis.  Each loop LP maximizes the mass
-    on the remaining candidates A.  After the first LP that rescues
-    cells, if A is not empty, one certificate LP maximizes s subject to
-    X'b + s x_A = t', b >= 0, s >= 0, where x_A is the mean design row
-    of A (an extra last column); the cell point b + (s/|A|) 1_A is
-    positive on all of A when s/|A| exceeds lp.SUPPORT_TOL.
+    previous LP's optimal basis.  The known face cells K start as the
+    positive cells.  Each round takes one ``matrix_rank`` of X_K and
+    moves every remaining candidate whose row lies in span(X_K) into
+    the face (F = C ∩ span(F)); these cells add no rank.  If candidates
+    remain, one LP maximizes the mass on them: cells whose LP value
+    exceeds lp.SUPPORT_TOL join K and the next round begins, and an
+    optimum of at most lp.SUPPORT_TOL ends the loop.
 
-    A cell is rescued into the face when its LP value exceeds
-    lp.SUPPORT_TOL, and the loop stops once the optimum is at most
-    lp.SUPPORT_TOL; the face dimension is ``matrix_rank`` of the face
-    rows.  ``iterations`` counts every LP, the certificate LP too.
-    ``column_order`` optionally permutes the LP variable ordering (else
-    ValueError); the result is invariant to it (the face is unique),
-    which makes the permutation a useful determinism audit in tests.
+    The face dimension is the last round's rank.  ``iterations`` counts
+    the LPs; ``removed_per_iteration`` lists the closure and LP batches
+    in the order they entered.  ``column_order`` optionally permutes
+    the LP variable ordering (else ValueError); the result is invariant
+    to it (the face is unique), which makes the permutation a useful
+    determinism audit in tests.
     """
     _check_table(table)
     if design is None:
         design = build_design(table, model)
     n_cells = table.n_cells
-    xt = design.matrix.T
 
     perm = np.arange(n_cells) if column_order is None else np.asarray(column_order)
     if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(n_cells)):
         raise ValueError(f"column_order must be a permutation of range({n_cells})")
-    inv_perm = np.empty_like(perm)
-    inv_perm[perm] = np.arange(n_cells)
 
     presolved, off_face = _presolve(table, model)
-    active = (table.counts == 0) & ~off_face  # candidate non-face cells, the loop's A
+    known = table.counts > 0  # K
+    active = ~known & ~off_face  # candidate non-face cells
     removed_trace = []
+    span_closed = []
     iterations = 0
-    basis = None  # every loop LP shares X'a = t', so each starts from the last optimum
-    certify = True  # the certificate LP runs at most once
-    if table.counts.all():
+    basis = None  # every LP shares X'a = t', so each starts from the last optimum
+    t_prime = None  # built with the permuted design when the first LP runs
+    if known.all():
         termination = "initial_A_empty"
     elif not active.any():
         termination = "all_zeros_presolved"
     else:
         termination = "all_cells_in_face"
-    if active.any():  # only the LPs need t' and the permuted design
-        t_prime = _binarized_statistic(table, design)
-        xt_perm = xt[:, perm]
 
-    while active.any():
+    while True:
+        rank = matrix_rank(design.matrix if known.all() else design.matrix[known])
+        cells = np.flatnonzero(active)
+        if cells.size and rank.rank < design.d:  # else every candidate is in the span
+            x = design.matrix[cells]
+            dropped = sorted(set(range(design.d)) - set(rank.columns))
+            residual = x[:, dropped] - x[:, list(rank.columns)] @ rank.aliasing
+            cells = cells[np.abs(residual).max(axis=1) <= SPAN_TOL]
+        if cells.size:
+            active[cells] = False
+            known[cells] = True
+            removed_trace.append(tuple(cells.tolist()))
+            span_closed.extend(cells.tolist())
+        if not active.any():
+            break
+
+        if t_prime is None:
+            t_prime = _binarized_statistic(table, design)
+            xt_perm = design.matrix.T[:, perm]
+            inv_perm = np.empty_like(perm)
+            inv_perm[perm] = np.arange(n_cells)
         c = active.astype(np.float64)
         sol = _solve_facial(lp.LinearProgram(c[perm], xt_perm, t_prime), basis, t_prime[0])
         iterations += 1
         basis = sol.basis
 
-        point = sol.point[inv_perm]
-        removable = np.flatnonzero(active & (point > lp.SUPPORT_TOL))
+        removable = np.flatnonzero(active & (sol.point[inv_perm] > lp.SUPPORT_TOL))
         if sol.objective_value <= lp.SUPPORT_TOL or removable.size == 0:
             # objective above tolerance with no removable cell means the
             # optimum is numerical dust spread below the support threshold;
@@ -189,32 +214,11 @@ def find_facial_set(table, model, design=None, column_order=None):
             termination = "optimal_zero"
             break
         active[removable] = False
-        removed_trace.append(tuple(int(i) for i in removable))
+        known[removable] = True
+        removed_trace.append(tuple(removable.tolist()))
 
-        if certify and active.any():
-            certify = False
-            n_active = int(active.sum())
-            objective = np.zeros(n_cells + 1)
-            objective[-1] = 1.0
-            mean_row = xt[:, active].mean(axis=1)
-            problem = lp.LinearProgram(objective, np.column_stack((xt_perm, mean_row)), t_prime)
-            cert = _solve_facial(problem, basis, t_prime[0])
-            iterations += 1
-            point = cert.point[:-1][inv_perm]
-            point[active] += cert.point[-1] / n_active
-            rescued = np.flatnonzero(active & (point > lp.SUPPORT_TOL))
-            if rescued.size:
-                active[rescued] = False
-                removed_trace.append(tuple(int(i) for i in rescued))
-
-    in_face = ~active & ~off_face
     return FacialSet(
-        in_face,
-        matrix_rank(design.matrix if in_face.all() else design.matrix[in_face]).rank,
-        iterations,
-        termination,
-        tuple(removed_trace),
-        presolved,
+        known, rank.rank, iterations, termination, tuple(removed_trace), presolved, tuple(span_closed)
     )
 
 

@@ -231,7 +231,8 @@ def fit(
     total = table.total
     d = design.d
     if columns is None:
-        d_face, kept = matrix_rank(xf)
+        rank = matrix_rank(xf)
+        d_face, kept = rank.rank, rank.columns
     else:
         kept = np.asarray(columns)
         if (kept.ndim != 1 or kept.dtype.kind not in "iu"
@@ -240,8 +241,9 @@ def fit(
         kept = kept.tolist()
         # listed first, the walk keeps exactly them iff they are maximal independent
         rest = sorted(set(range(d)) - set(kept))
-        d_face, order = matrix_rank(xf[:, kept + rest])
-        if order != tuple(range(len(kept))):
+        rank = matrix_rank(xf[:, kept + rest])
+        d_face = rank.rank
+        if rank.columns != tuple(range(len(kept))):
             raise FitError("explicit column set is not a maximal independent subset")
 
     x_star = xf if list(kept) == list(range(d)) else np.ascontiguousarray(xf[:, kept])

@@ -63,6 +63,7 @@ def build_report(formula_text, table, design, facial_set, fit_result=None, oracl
             {"cell": cell, "levels": list(levels[cell]), "generator": list(gen)}
             for cell, gen in facial_set.presolved
         ],
+        "span_closed": [{"cell": cell, "levels": list(levels[cell])} for cell in facial_set.span_closed],
         "factors": list(table.factor_names),
         "total": table.total,
         "face": face_rows,
@@ -115,6 +116,7 @@ def render_text(report):
         ordered = sorted(margins.items(), key=lambda item: (len(item[0]), item[0]))
         line += " in zero margins of " + ", ".join(f"{':'.join(g)} ({k})" for g, k in ordered)
     out.append(line)
+    out.append(f"span closure: {len(report['span_closed'])} zero cells")
 
     factors = report["factors"]
     width = [max(len(f), max(len(r["levels"][k]) for r in report["face"])) for k, f in enumerate(factors)]

@@ -55,9 +55,9 @@ def iter_instances(n, seed=20240814):
         yield random_instance(rng)
 
 
-def three_way_instance(seed):
-    """2^8 table with 85% zeros under all 56 three-way generators."""
-    rng = np.random.default_rng([seed, 8, 3])
-    counts = np.where(rng.random(256) < 0.85, 0, rng.poisson(2.0, 256) + 1)
-    gens = "".join(f"[{''.join(g)}]" for g in itertools.combinations("abcdefgh", 3))
-    return make_table((2,) * 8, counts), parse_generators(gens)
+def three_way_instance(seed, k=8, p0=0.85):
+    """2^k table, each cell zero with probability p0, under all three-way generators."""
+    rng = np.random.default_rng([seed, k, 3])
+    counts = np.where(rng.random(2**k) < p0, 0, rng.poisson(2.0, 2**k) + 1)
+    gens = "".join(f"[{''.join(g)}]" for g in itertools.combinations("abcdefghij"[:k], 3))
+    return make_table((2,) * k, counts), parse_generators(gens)

@@ -126,8 +126,20 @@ class TestReports:
         code, out, _ = run_cli(*HABERMAN_ARGS, "--facial-only", "--format", "json")
         assert code == 0
         assert json.loads(out)["presolved"] == []
+        assert json.loads(out)["span_closed"] == []
         code, out, _ = run_cli(*HABERMAN_ARGS, "--facial-only")
-        assert "iterations: 1\npresolved: 0 zero cells\nface:" in out
+        assert "iterations: 1\npresolved: 0 zero cells\nspan closure: 0 zero cells\nface:" in out
+
+    def test_span_closed_cells_reported(self):
+        args = ("--dataset", "example3x3x3", "--formula", "[ab][bc][ac]", "--facial-only")
+        code, out, err = run_cli(*args, "--format", "json")
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["iterations"] == 1
+        assert rep["span_closed"] == [{"cell": 6, "levels": ["1", "3", "1"]}]
+        assert rep["face"][6] == {"levels": ["1", "3", "1"], "count": 0, "in_face": 1}
+        code, out, _ = run_cli(*args)
+        assert "presolved: 0 zero cells\nspan closure: 1 zero cells\nface:" in out
 
     def test_dump_design(self):
         code, out, _ = run_cli(*HABERMAN_ARGS, "--dump-design")

@@ -163,6 +163,17 @@ class TestMatrixRank:
     def test_three_way_2x8(self, seed):
         assert self.assert_matches_reference(designs_and_faces([three_way_instance(seed)])) == 2
 
+    def test_aliasing_rebuilds_dropped_columns(self):
+        cases = [(rochdale(), parse_generators(gens)) for gens in dict.fromkeys(g for g, _ in CBIC_ROWS + BIC_ROWS)]
+        n_dropped = 0
+        for a in designs_and_faces(cases + list(iter_instances(60, seed=4242))):
+            got = matrix_rank(a)
+            dropped = [j for j in range(a.shape[1]) if j not in got.columns]
+            assert got.aliasing.shape == (got.rank, len(dropped))
+            assert np.abs(a[:, dropped] - a[:, list(got.columns)] @ got.aliasing).max(initial=0.0) < 1e-12
+            n_dropped += len(dropped)
+        assert n_dropped > 0
+
     def test_later_column_after_dependent_one(self):
         # unpivoted QR gives R's diagonal (1, 0, 0) here, but e2 is independent
         e1, e2 = np.eye(3)[:, 0], np.eye(3)[:, 1]

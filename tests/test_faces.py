@@ -198,11 +198,53 @@ class TestPresolve:
         assert np.array_equal(oracle.in_face, fs.in_face)
 
 
-class TestCertificate:
-    def test_paper_models_take_two_lps(self, paper_faces):
-        for _table, _model, _design, fs in paper_faces:
-            assert fs.iterations <= 2
+class TestSpanClosure:
+    def test_paper_models_run_no_lp(self, paper_faces):
+        for table, _model, _design, fs in paper_faces:
+            assert fs.iterations == 0
             assert fs.termination == "all_cells_in_face"
+            assert fs.span_closed and fs.removed_per_iteration == (fs.span_closed,)
+            closed = sorted([cell for cell, _ in fs.presolved] + list(fs.span_closed))
+            assert closed == table.zero_cells().tolist()
+
+    def test_rochdale_all_two_way_runs_no_lp(self):
+        table = rochdale()
+        names = table.factor_names
+        model = parse_generators("".join(f"[{a}{b}]" for i, a in enumerate(names) for b in names[i + 1 :]))
+        fs = find_facial_set(table, model)
+        assert fs.iterations == 0
+        assert fs.in_face.all() and fs.face_dimension == 37
+        assert list(fs.span_closed) == table.zero_cells().tolist()
+
+    def test_3x3x3_closes_cell_131_and_runs_one_lp(self, fs3, table3x3x3):
+        assert fs3.iterations == 1
+        assert fs3.termination == "optimal_zero"
+        assert fs3.span_closed == (table3x3x3.flat_index((0, 2, 0)),)
+        assert fs3.removed_per_iteration == (fs3.span_closed,)
+
+    def test_haberman_runs_one_lp(self, fs):
+        assert fs.iterations == 1
+        assert fs.span_closed == ()
+
+    def test_closure_builds_no_lp_inputs(self):
+        # sparse 2^12 table, all-two-way model: the positive rows have
+        # full rank, so no LP, no permuted design and no binarized statistic
+        names = "abcdefghijkl"
+        rng = np.random.default_rng([1, 12, 2])
+        counts = np.where(rng.random(2**12) < 0.6, 0, rng.poisson(2.0, 2**12) + 1)
+        table = ContingencyTable(tuple(FactorSpec(n, ("0", "1")) for n in names), counts)
+        model = parse_generators("".join(f"[{a}{b}]" for i, a in enumerate(names) for b in names[i + 1 :]))
+        design = build_design(table, model)
+        tracemalloc.start()
+        try:
+            fs = find_facial_set(table, model, design=design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fs.iterations == 0 and fs.in_face.all()
+        assert len(fs.span_closed) == len(table.zero_cells()) > 0.5 * table.n_cells
+        assert fs.face_dimension == design.d == 79
+        assert peak < design.matrix.nbytes
 
 
 class TestErrors:
@@ -236,13 +278,21 @@ class TestInvariants:
             oracle = per_cell_oracle(table, model)
             assert np.array_equal(oracle.in_face, fs.in_face)
 
-    def test_monotone_progress(self, sweep):
-        for table, _model, fs in sweep:
-            n_unpresolved = len(table.zero_cells()) - len(fs.presolved)
-            # no LP runs exactly when every zero cell is presolved
-            assert (fs.iterations == 0) == (n_unpresolved == 0)
-            if n_unpresolved:
-                assert 1 <= fs.iterations <= n_unpresolved + 1
+    def test_no_lp_exactly_when_zeros_in_span(self, sweep):
+        n_without_lp = 0
+        for table, model, fs in sweep:
+            x = build_design(table, model).matrix
+            positive = table.counts > 0
+            rank = np.linalg.matrix_rank(x[positive])
+            presolved = {cell for cell, _ in fs.presolved}
+            unpresolved = [i for i in table.zero_cells() if i not in presolved]
+            in_span = all(np.linalg.matrix_rank(np.vstack((x[positive], x[i]))) == rank for i in unpresolved)
+            assert (fs.iterations == 0) == in_span
+            n_without_lp += in_span
+            # every LP rescues a batch, but for an optimal-zero last one
+            lp_batches = [b for b in fs.removed_per_iteration if not set(b) <= set(fs.span_closed)]
+            assert fs.iterations == len(lp_batches) + (fs.termination == "optimal_zero")
+        assert 0 < n_without_lp < len(sweep)
 
     def test_face_dimension_bounds(self, sweep):
         from sparseloglin import build_design

@@ -1,8 +1,8 @@
-"""Facial sets of 256- and 1024-cell tables against an LP solved by HiGHS.
+"""Facial sets of 256- to 1024-cell tables against an LP solved by HiGHS.
 
 These tables are well past the toy sizes of the other tests: the
-three-way models have 93 LP rows and off-face cells that no zero
-margin explains.  scipy is used only here, as an independent reference.
+three-way models have 93 to 176 LP rows and off-face cells that no
+zero margin explains.  scipy is used only here, as an independent reference.
 """
 
 import itertools
@@ -73,12 +73,22 @@ def test_two_way_2x10_matches_highs(two_way_2x10):
     assert np.array_equal(fs.in_face, highs_facial_set(design, table.counts))
 
 
-def test_two_way_2x10_settles_in_two_lps(two_way_2x10):
-    # one loop LP, then the certificate LP rescues every remaining candidate
+def test_two_way_2x10_settles_with_no_lp(two_way_2x10):
+    # the positive rows have full rank, so the span closure takes every zero
     table, design, fs = two_way_2x10
-    assert fs.iterations <= 2
+    assert fs.iterations == 0
     assert fs.termination == "all_cells_in_face"
+    assert fs.span_closed == tuple(np.flatnonzero(table.counts == 0).tolist())
     assert np.array_equal(fs.in_face, highs_facial_set(design, table.counts))
+
+
+@pytest.mark.parametrize("seed, k, p0, face_cells", [(1, 9, 0.85, 448), (0, 10, 0.92, 896)])
+def test_larger_three_way_matches_highs(seed, k, p0, face_cells):
+    table, model = three_way_instance(seed, k, p0)
+    design = build_design(table, model)
+    fs = find_facial_set(table, model, design=design)
+    assert np.array_equal(fs.in_face, highs_facial_set(design, table.counts))
+    assert fs.n_face_cells == face_cells
 
 
 def test_three_way_face_invariant_to_column_order():

@@ -56,7 +56,8 @@ def report_reference(report, table, facial_set, fit_result):
         {"cell": cell, "levels": [str(x) for x in labels[cell]], "generator": list(gen)}
         for cell, gen in facial_set.presolved
     ]
-    return {**report, "face": face, "presolved": presolved}
+    span_closed = [{"cell": cell, "levels": [str(x) for x in labels[cell]]} for cell in facial_set.span_closed]
+    return {**report, "face": face, "presolved": presolved, "span_closed": span_closed}
 
 
 def analyse(table, formula, with_fit=True, oracle=False):
