@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .design import build_design, matrix_rank, sufficient_statistic
+from .design import build_design, matrix_rank
 from .table import TableError
 
 __all__ = ["FacialSet", "find_facial_set", "per_cell_oracle", "mle_exists"]
@@ -84,8 +84,8 @@ class FacialSet:
 
 
 def _binarized_statistic(table, design):
-    y = (table.counts > 0).astype(np.int64)
-    return sufficient_statistic(design, y).t.astype(np.float64)
+    # 0/1 entries, so the float64 sums are exact integers
+    return design.matrix.T @ (table.counts > 0)
 
 
 def _check_table(table):
@@ -135,7 +135,7 @@ def _solve_facial(problem, basis, bound):
     return sol
 
 
-def find_facial_set(table, model, design=None, column_order=None):
+def find_facial_set(table, model, design=None):
     """Find the facial set: presolve, then span closure and repeated LPs.
 
     Zero cells in a zero generator margin of the binarized table are
@@ -151,19 +151,13 @@ def find_facial_set(table, model, design=None, column_order=None):
 
     The face dimension is the last round's rank.  ``iterations`` counts
     the LPs; ``removed_per_iteration`` lists the closure and LP batches
-    in the order they entered.  ``column_order`` optionally permutes
-    the LP variable ordering (else ValueError); the result is invariant
-    to it (the face is unique), which makes the permutation a useful
-    determinism audit in tests.
+    in the order they entered.  The face is unique, so the result does
+    not depend on the order of the LP's variables or on how the design
+    is coded.
     """
     _check_table(table)
     if design is None:
         design = build_design(table, model)
-    n_cells = table.n_cells
-
-    perm = np.arange(n_cells) if column_order is None else np.asarray(column_order)
-    if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(n_cells)):
-        raise ValueError(f"column_order must be a permutation of range({n_cells})")
 
     presolved, off_face = _presolve(table, model)
     known = table.counts > 0  # K
@@ -172,7 +166,7 @@ def find_facial_set(table, model, design=None, column_order=None):
     span_closed = []
     iterations = 0
     basis = None  # every LP shares X'a = t', so each starts from the last optimum
-    t_prime = None  # built with the permuted design when the first LP runs
+    t_prime = None  # built with the LP constraints when the first LP runs
     if known.all():
         termination = "initial_A_empty"
     elif not active.any():
@@ -198,15 +192,12 @@ def find_facial_set(table, model, design=None, column_order=None):
 
         if t_prime is None:
             t_prime = _binarized_statistic(table, design)
-            xt_perm = design.matrix.T[:, perm]
-            inv_perm = np.empty_like(perm)
-            inv_perm[perm] = np.arange(n_cells)
-        c = active.astype(np.float64)
-        sol = _solve_facial(lp.LinearProgram(c[perm], xt_perm, t_prime), basis, t_prime[0])
+            xt = np.ascontiguousarray(design.matrix.T)
+        sol = _solve_facial(lp.LinearProgram(active.astype(np.float64), xt, t_prime), basis, t_prime[0])
         iterations += 1
         basis = sol.basis
 
-        removable = np.flatnonzero(active & (sol.point[inv_perm] > lp.SUPPORT_TOL))
+        removable = np.flatnonzero(active & (sol.point > lp.SUPPORT_TOL))
         if sol.objective_value <= lp.SUPPORT_TOL or removable.size == 0:
             # objective above tolerance with no removable cell means the
             # optimum is numerical dust spread below the support threshold;
@@ -238,7 +229,7 @@ def per_cell_oracle(table, model, design=None):
         design = build_design(table, model)
     n_cells = table.n_cells
     t_prime = _binarized_statistic(table, design)
-    xt = design.matrix.T
+    xt = np.ascontiguousarray(design.matrix.T)
 
     presolved, off_face = _presolve(table, model)
     in_face = table.counts > 0
@@ -247,9 +238,7 @@ def per_cell_oracle(table, model, design=None):
     for i in zeros:
         c = np.zeros(n_cells)
         c[i] = 1.0
-        sol = lp.solve(lp.LinearProgram(c, xt, t_prime), start=basis)
-        if sol.status != "optimal":
-            raise lp.SimplexError(f"per-cell LP returned {sol.status}; solver fault")
+        sol = _solve_facial(lp.LinearProgram(c, xt, t_prime), basis, t_prime[0])
         basis = sol.basis
         if sol.objective_value > lp.SUPPORT_TOL:
             in_face[i] = True

@@ -36,6 +36,9 @@ CONVERGED = 0
 MAX_ITER = 1
 STALLED = 2
 
+# Newton iterations ``fit`` allows before it reports no convergence.
+NEWTON_ITER_CAP = 100
+
 
 class FitError(RuntimeError):
     """Fit could not be completed: inconsistent inputs or no convergence."""
@@ -175,16 +178,14 @@ def deviance(fitted_means, counts):
     return float(2.0 * terms.sum())
 
 
-def bic(result, total=None):
+def bic(result):
     """l - (d/2) log N with the nominal model dimension d."""
-    n = result.total if total is None else total
-    return result.loglik - 0.5 * result.model_dimension * math.log(n)
+    return result.loglik - 0.5 * result.model_dimension * math.log(result.total)
 
 
-def cbic(result, total=None):
+def cbic(result):
     """l - (d_F/2) log N: the dimension-corrected criterion."""
-    n = result.total if total is None else total
-    return result.loglik - 0.5 * result.face_dimension * math.log(n)
+    return result.loglik - 0.5 * result.face_dimension * math.log(result.total)
 
 
 def standard_errors(result):
@@ -192,24 +193,17 @@ def standard_errors(result):
     return np.array([c.std_error for c in result.coefficients])
 
 
-def fit(
-    table,
-    model,
-    facial_set=None,
-    design=None,
-    columns=None,
-    max_iter=100,
-    require_convergence=True,
-):
+def fit(table, model, facial_set=None, design=None, require_convergence=True):
     """Fit the Poisson log-linear model restricted to the facial set.
 
     With ``facial_set=None`` the model is fit on all cells (the
     ordinary MLE attempt; it diverges when the MLE does not exist
-    unless ``require_convergence=False``).  ``columns`` may name an
-    explicit independent subset of design columns to estimate, as
-    distinct integers in [0, d); the fitted means do not depend on that
+    unless ``require_convergence=False``).  The estimated columns are
+    the greedy, in-order independent columns of the face rows (see
+    ``design.matrix_rank``); the fitted means do not depend on that
     choice, only the parametrization does.  Newton converges once
-    max|gradient| <= 1e-10 max(1, N) and max|step| <= 1e-8 (1 + max|theta|).
+    max|gradient| <= 1e-10 max(1, N) and max|step| <= 1e-8 (1 + max|theta|),
+    within NEWTON_ITER_CAP iterations.
     """
     if table.total == 0:
         raise FitError("all-zero table")
@@ -230,33 +224,20 @@ def fit(
     n_face = int(in_face.sum())
     total = table.total
     d = design.d
-    if columns is None:
-        rank = matrix_rank(xf)
-        d_face, kept = rank.rank, rank.columns
-    else:
-        kept = np.asarray(columns)
-        if (kept.ndim != 1 or kept.dtype.kind not in "iu"
-                or not np.isin(kept, range(d)).all() or np.unique(kept).size < kept.size):
-            raise FitError(f"columns must be distinct integers in [0, {d}), got {columns!r}")
-        kept = kept.tolist()
-        # listed first, the walk keeps exactly them iff they are maximal independent
-        rest = sorted(set(range(d)) - set(kept))
-        rank = matrix_rank(xf[:, kept + rest])
-        d_face = rank.rank
-        if rank.columns != tuple(range(len(kept))):
-            raise FitError("explicit column set is not a maximal independent subset")
+    rank = matrix_rank(xf)
+    d_face, kept = rank.rank, rank.columns
 
-    x_star = xf if list(kept) == list(range(d)) else np.ascontiguousarray(xf[:, kept])
+    x_star = xf if kept == tuple(range(d)) else np.ascontiguousarray(xf[:, kept])
     theta0 = np.zeros(len(kept))
     if kept and kept[0] == 0:
         theta0[0] = math.log(total / n_face)
 
     theta, status, n_iter, gnorm = _newton(
-        x_star, nf, theta0, 1e-10 * max(1.0, float(total)), 1e-8, int(max_iter)
+        x_star, nf, theta0, 1e-10 * max(1.0, float(total)), 1e-8, NEWTON_ITER_CAP
     )
     converged = status == CONVERGED
     if require_convergence and not converged:
-        how = "stalled" if status == STALLED else f"hit the {max_iter}-iteration cap"
+        how = "stalled" if status == STALLED else f"hit the {NEWTON_ITER_CAP}-iteration cap"
         raise FitError(
             f"fit {how} after {n_iter} iterations (grad norm {gnorm:.3e}); "
             "if the MLE may not exist, fit on the facial set"
@@ -296,7 +277,7 @@ def fit(
     result = FitResult(
         fitted_means=fitted,
         coefficients=tuple(coefficients),
-        estimable_columns=tuple(kept),
+        estimable_columns=kept,
         loglik=ll,
         deviance=deviance(fitted, table.counts),
         model_dimension=d,

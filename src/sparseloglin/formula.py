@@ -73,14 +73,15 @@ class ModelFormula:
         return sorted(self.terms, key=term_sort_key)
 
     @classmethod
-    def from_generators(cls, generators, response="freq"):
+    def from_generators(cls, generators):
+        """The hierarchical closure of ``generators``, with response ``freq``."""
         gens = []
         for g in generators:
             term = Term(g)
             if not term:
                 raise FormulaError("empty generator")
             gens.append(term)
-        return cls(response, hierarchical_closure(gens))
+        return cls("freq", hierarchical_closure(gens))
 
 
 def _parse_term(text):
@@ -117,11 +118,12 @@ def parse_formula(text):
     return ModelFormula(response, hierarchical_closure(terms))
 
 
-def parse_generators(text, response="freq"):
+def parse_generators(text):
     """Parse bracket or pipe generator notation, e.g. ``[ab][bc]`` or ``|ad|bdh|``.
 
     Factor names are single characters; each group becomes one
-    generator and the result is the hierarchical closure of all groups.
+    generator and the result is the hierarchical closure of all groups,
+    with response ``freq``.
     """
     text = text.strip()
     if not text:
@@ -165,4 +167,4 @@ def parse_generators(text, response="freq"):
         if len(set(names)) != len(names):
             raise FormulaError(f"repeated factor in generator {g!r}")
         gens.append(names)
-    return ModelFormula.from_generators(gens, response=response)
+    return ModelFormula.from_generators(gens)

@@ -6,9 +6,10 @@ two-phase dense simplex.
 Phase 1 adds one artificial variable per constraint row and minimizes
 their sum, stopping as soon as that sum is within the feasibility
 tolerance.  Artificials still in the basis are then pivoted out on the
-largest entry of their row; a row whose real entries are all below the
-pivot threshold is redundant and dropped.  Phase 2 maximizes the
-objective from the basis phase 1 leaves.
+largest entry of their tableau row; when every real entry of that row
+is below the pivot threshold, the artificial's constraint is redundant
+and dropped.  Phase 2 maximizes the objective from the basis phase 1
+leaves.
 
 ``_simplex`` pivots a dense tableau in place.  It prices by Dantzig's
 rule: the most negative reduced cost enters, and ratio-test ties go to
@@ -21,10 +22,10 @@ values that drifted further than DRIFT_TOL from that rebuild raise
 SimplexError.  Every choice is deterministic, so the returned vertex
 and its support are too.
 
-A solution carries its final ``Basis``: the kept constraint rows and
-the basic columns.  ``solve(lp, start=basis)`` on an LP with the same
-constraints and another objective skips phase 1, because that basis is
-still feasible, and starts phase 2 from it.
+A solution carries its final ``Basis``: the indices of the kept
+constraints and the basic columns.  ``solve(lp, start=basis)`` on an LP
+with the same constraints and another objective skips phase 1, because
+that basis is still feasible, and starts phase 2 from it.
 """
 
 from dataclasses import dataclass, field
@@ -99,7 +100,12 @@ class LinearProgram:
 
 
 class Basis(NamedTuple):
-    """An optimal basis: kept constraint rows and the basic column of each."""
+    """An optimal basis: the kept constraints and the basic columns.
+
+    ``rows`` holds constraint indices, in increasing order; ``columns``
+    holds the basic columns in tableau position order.  The two are
+    not paired: B = A[rows][:, columns].
+    """
 
     rows: np.ndarray
     columns: np.ndarray
@@ -236,8 +242,8 @@ def _run(T, basis, max_iter, phase, refactor, stop_at=None):
 def _phase1(A, b, max_iter):
     """Find a feasible basis of A a = b, a >= 0 from the all-artificial one.
 
-    Returns (kept rows, basic columns, basic values, pivots); the rows
-    and columns are None when the system is infeasible.
+    Returns (kept constraints, basic columns, basic values, pivots);
+    the constraints and columns are None when the system is infeasible.
     """
     m, n = A.shape
     M = np.hstack((A, np.eye(m)))
@@ -249,16 +255,21 @@ def _phase1(A, b, max_iter):
     if -T[-1, -1] > FEASIBILITY_TOL:
         return None, None, None, pivots
 
-    # Pivot lingering artificials out of the (degenerate) basis; a row
-    # whose real entries are all roundoff is a redundant constraint.
-    keep = np.ones(m, dtype=bool)
+    # Pivot lingering artificials out of the (degenerate) basis.  A
+    # tableau row whose real entries are all roundoff makes the
+    # constraint of its artificial redundant: the artificial of
+    # constraint k sits at some position i, not necessarily k, so
+    # position i leaves the basis and constraint k leaves the rows.
+    keep_pos = np.ones(m, dtype=bool)
+    keep_row = np.ones(m, dtype=bool)
     for i in np.flatnonzero(basis >= n):
         col = int(np.argmax(np.abs(T[i, :n])))
         if abs(T[i, col]) <= PIVOT_TOL:
-            keep[i] = False
+            keep_pos[i] = False
+            keep_row[basis[i] - n] = False
         else:
             _pivot(T, basis, i, col)
-    return np.flatnonzero(keep), basis[keep], T[:m, -1][keep], pivots
+    return np.flatnonzero(keep_row), basis[keep_pos], T[:m, -1][keep_pos], pivots
 
 
 def _warm_tableau(A, b, cost, rows, basis):

@@ -62,8 +62,8 @@ class ContingencyTable:
     """Counts over the full product of factor level sets.
 
     ``counts`` is a flat int64 vector of length prod(n_levels) in
-    canonical cell order.  Instances are immutable and safe to share
-    across threads.
+    canonical cell order; counts given as floats must be integral.
+    Instances are immutable and safe to share across threads.
     """
 
     factors: tuple
@@ -73,10 +73,16 @@ class ContingencyTable:
         names = [f.name for f in self.factors]
         if len(set(names)) != len(names):
             raise TableError("duplicate factor names")
+        values = np.asarray(self.counts)
         try:
-            counts = np.asarray(self.counts, dtype=np.int64)
+            with np.errstate(invalid="ignore"):
+                counts = np.asarray(values, dtype=np.int64)
         except OverflowError:
             raise TableError(f"a cell count is outside the int64 range (max {COUNT_MAX})") from None
+        # the cast truncates floats, so 0.2 would become a sampling
+        # zero, and wraps unsigned counts past COUNT_MAX
+        if values.dtype.kind not in "bi" and not np.array_equal(counts, values):
+            raise TableError(f"cell counts must be finite integers of at most {COUNT_MAX}")
         if counts.shape != (self.n_cells,):
             raise TableError(
                 f"counts has shape {counts.shape}, expected ({self.n_cells},)"
@@ -238,11 +244,14 @@ def parse_table(source, freq_column="freq"):
     return ContingencyTable(factors, counts)
 
 
-def serialize_table(table, freq_column="freq", delimiter=","):
-    """Render a table as delimited text that parse_table round-trips."""
-    lines = [delimiter.join([*table.factor_names, freq_column])]
+def serialize_table(table):
+    """Render a table as comma-separated text that parse_table round-trips.
+
+    The counts go in a last column named ``freq``.
+    """
+    lines = [",".join([*table.factor_names, "freq"])]
     for labels, count in zip(table.cell_labels(), table.counts):
-        lines.append(delimiter.join([*(str(x) for x in labels), str(int(count))]))
+        lines.append(",".join([*(str(x) for x in labels), str(int(count))]))
     return "\n".join(lines) + "\n"
 
 

@@ -61,3 +61,20 @@ def three_way_instance(seed, k=8, p0=0.85):
     counts = np.where(rng.random(2**k) < p0, 0, rng.poisson(2.0, 2**k) + 1)
     gens = "".join(f"[{''.join(g)}]" for g in itertools.combinations("abcdefghij"[:k], 3))
     return make_table((2,) * k, counts), parse_generators(gens)
+
+
+def relabel(table, order, flip):
+    """The table with its factors in ``order`` and the levels of the factors in ``flip`` reversed.
+
+    ``order`` permutes factor positions and ``flip`` names factor
+    positions of ``table``.  Returns (relabelled, cells): cell j of the
+    relabelled table is cell cells[j] of ``table``.  Reversing a
+    factor's levels moves its baseline, so the design becomes X M for
+    an invertible M, with its rows permuted by ``cells``.
+    """
+    cube = np.arange(table.n_cells).reshape(table.shape)
+    cells = np.flip(cube, axis=tuple(flip)).transpose(order).reshape(-1)
+    factors = tuple(
+        FactorSpec(table.factors[k].name, table.factors[k].levels[:: -1 if k in flip else 1]) for k in order
+    )
+    return ContingencyTable(factors, table.counts[cells]), cells

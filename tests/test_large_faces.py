@@ -12,7 +12,7 @@ import pytest
 
 from sparseloglin import build_design, find_facial_set, parse_generators
 
-from conftest import make_table, three_way_instance
+from conftest import make_table, relabel, three_way_instance
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -92,8 +92,13 @@ def test_larger_three_way_matches_highs(seed, k, p0, face_cells):
 
 
 def test_three_way_face_invariant_to_column_order():
+    # relabelling shuffles the LP's variables and recodes the design
     table, model = three_way_instance(1)
-    design = build_design(table, model)
-    order = np.random.default_rng(7).permutation(table.n_cells)
-    fs = find_facial_set(table, model, design=design, column_order=order)
-    assert np.array_equal(fs.in_face, highs_facial_set(design, table.counts))
+    fs = find_facial_set(table, model)
+    order = np.random.default_rng(7).permutation(8)
+    relabelled, cells = relabel(table, order, (1, 4, 6))
+    design = build_design(relabelled, model)
+    fs2 = find_facial_set(relabelled, model, design=design)
+    assert fs2.iterations > 0
+    assert np.array_equal(fs2.in_face, highs_facial_set(design, relabelled.counts))
+    assert np.array_equal(fs2.in_face, fs.in_face[cells])

@@ -3,10 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from sparseloglin import LinearProgram, binarize, build_design, parse_generators, solve, sufficient_statistic
+from sparseloglin import (
+    LinearProgram,
+    binarize,
+    build_design,
+    find_facial_set,
+    parse_generators,
+    solve,
+    sufficient_statistic,
+)
 from sparseloglin import lp as lpmod
 
-from conftest import make_table
+from conftest import make_table, three_way_instance
 
 
 def brute_force_max(c, a_mat, b, tol=1e-9):
@@ -168,6 +176,24 @@ class TestEdgeCases:
         sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
+
+    def test_redundant_rows_without_a_zero_row(self):
+        # three-way 2^8 facial LP without the presolved cells' columns:
+        # 93 constraints of rank 90, none of them zero; phase 1 leaves
+        # artificials at tableau positions other than their constraints'
+        table, model = three_way_instance(1)
+        design = build_design(table, model)
+        presolved = [cell for cell, _ in find_facial_set(table, model, design=design).presolved]
+        keep = np.ones(table.n_cells, dtype=bool)
+        keep[presolved] = False
+        x = design.matrix[keep]
+        lp = LinearProgram((table.counts[keep] == 0).astype(float), x.T, x.T @ (table.counts[keep] > 0))
+        assert (lp.n_constraints, np.linalg.matrix_rank(x)) == (93, 90)
+        sol = solve(lp)
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(13.0, abs=1e-8)  # HiGHS: 13
+        assert sol.basis.rows.size == sol.basis.columns.size == 90
+        assert np.linalg.matrix_rank(x.T[sol.basis.rows]) == 90
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -153,6 +153,25 @@ class TestCountRange:
         assert ContingencyTable(factors, [2**62, 2**62 - 1, 0, 0]).total == 2**63 - 1
 
 
+    @pytest.mark.parametrize(
+        "counts",
+        [[1.9, 0.2], [np.nan, 1.0], [np.inf, 1.0], np.array([3.0, 0.5]), np.array([2**64 - 1, 1], dtype=np.uint64)],
+        ids=["list", "nan", "inf", "array", "uint64"],
+    )
+    def test_non_integer_counts_rejected(self, counts):
+        # truncating would turn the positive cell 0.2 into a sampling
+        # zero; the largest uint64 would wrap to -1
+        factors = make_table((2,), [0, 0]).factors
+        with pytest.raises(TableError, match="finite integers"):
+            ContingencyTable(factors, counts)
+
+    def test_integral_float_counts_accepted(self):
+        factors = make_table((2,), [0, 0]).factors
+        for counts in ([2.0, 0.0], np.array([2, 0], dtype=np.uint8)):
+            table = ContingencyTable(factors, counts)
+            assert table.counts.dtype == np.int64
+            assert table.counts.tolist() == [2, 0]
+
 class TestImmutability:
     def test_counts_not_writable(self, haberman_table):
         with pytest.raises(ValueError):
