@@ -6,7 +6,8 @@ Two notations are supported and produce identical structures:
   all subsets, ``:`` names a single interaction which is then closed
   hierarchically, ``1`` is the intercept-only model);
 * generator strings, ``[ab][bc][ac]`` or ``|ad|ae|bdh|``, where each
-  group is a generator over single-character factor names.
+  group is a generator over single-character factor names, each an
+  identifier character (a letter or ``_``).
 
 A term is a frozenset of factor names; the empty frozenset is the
 intercept.  Term sets are always hierarchically closed: every nonempty
@@ -121,7 +122,7 @@ def parse_formula(text):
 def parse_generators(text):
     """Parse bracket or pipe generator notation, e.g. ``[ab][bc]`` or ``|ad|bdh|``.
 
-    Factor names are single characters; each group becomes one
+    Factor names are single identifier characters; each group becomes one
     generator and the result is the hierarchical closure of all groups,
     with response ``freq``.
     """
@@ -164,6 +165,8 @@ def parse_generators(text):
         if not g:
             raise FormulaError("empty generator group")
         names = list(g)
+        if not all(name.isidentifier() for name in names):
+            raise FormulaError(f"bad factor name in generator {g!r}")
         if len(set(names)) != len(names):
             raise FormulaError(f"repeated factor in generator {g!r}")
         gens.append(names)

@@ -1,15 +1,21 @@
 """Equality-constrained nonnegative linear programs.
 
 Solves  max c'a  subject to  A a = b, a >= 0  with a self-contained
-two-phase dense simplex.
+two-phase dense simplex.  The contract is that of the facial LPs,
+X'a = t': b >= 0 (``LinearProgram`` rejects a negative entry), the
+rows of A are linearly independent, and the LP is feasible and
+bounded.  ``solve`` returns an optimal vertex or raises SimplexError;
+it reads A and b in place.
 
 Phase 1 adds one artificial variable per constraint row and minimizes
 their sum, stopping as soon as that sum is within the feasibility
-tolerance.  Artificials still in the basis are then pivoted out on the
-largest entry of their tableau row; when every real entry of that row
-is below the pivot threshold, the artificial's constraint is redundant
-and dropped.  Phase 2 maximizes the objective from the basis phase 1
-leaves.
+tolerance; a larger minimum raises "infeasible".  Artificials still in
+the basis are then pivoted out on the largest entry of their tableau
+row; a row with no real entry above the pivot threshold makes the
+artificial's constraint a combination of the others, which raises
+"linearly dependent".  Phase 2 maximizes the objective from the basis
+phase 1 leaves; an improving column with no positive entry raises
+"unbounded".
 
 ``_simplex`` pivots a dense tableau in place.  It prices by Dantzig's
 rule: the most negative reduced cost enters, and ratio-test ties go to
@@ -20,20 +26,19 @@ Every REFACTOR_PIVOTS pivots, and before a phase returns its verdict,
 the tableau is rebuilt as B^-1 [A | b] from the original rows; basic
 values that drifted further than DRIFT_TOL from that rebuild raise
 SimplexError.  Every choice is deterministic, so the returned vertex
-and its support are too.
+is too.
 
-A solution carries its final ``Basis``: the indices of the kept
-constraints and the basic columns.  ``solve(lp, start=basis)`` on an LP
-with the same constraints and another objective skips phase 1, because
-that basis is still feasible, and starts phase 2 from it.
+A solution carries its final ``basis``: the basic columns in tableau
+position order.  ``solve(lp, start=basis)`` on an LP with the same
+constraints and another objective skips phase 1, because that basis is
+still feasible, and starts phase 2 from it.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Basis", "LinearProgram", "LpSolution", "SimplexError", "solve", "FEASIBILITY_TOL", "SUPPORT_TOL"]
+__all__ = ["LinearProgram", "LpSolution", "SimplexError", "solve", "FEASIBILITY_TOL", "SUPPORT_TOL"]
 
 # Constraint data here comes from 0/1 tables, so all scales are O(1).
 FEASIBILITY_TOL = 1e-9
@@ -60,12 +65,16 @@ ITERATION_LIMIT = 5
 
 
 class SimplexError(RuntimeError):
-    """Numerical breakdown: pivot cap exhausted, basis drift or singularity, or a failed check."""
+    """No optimum: an LP outside the contract, or numerical breakdown (pivot cap, drift, a failed check)."""
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective . a  subject to  constraint_matrix @ a = rhs, a >= 0."""
+    """max objective . a  subject to  constraint_matrix @ a = rhs, a >= 0, with rhs >= 0.
+
+    The arrays are kept as read-only views; a C-contiguous float64
+    constraint matrix is not copied.
+    """
 
     objective: np.ndarray = field(repr=False)
     constraint_matrix: np.ndarray = field(repr=False)
@@ -84,10 +93,13 @@ class LinearProgram:
             raise ValueError(f"rhs has shape {b.shape}, expected ({m},)")
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("non-finite entries in LP data")
+        if (b < 0).any():
+            raise ValueError("negative rhs entry; negate its constraint row")
+        c, a, b = (arr.view() for arr in (c, np.ascontiguousarray(a), b))
         for arr in (c, a, b):
             arr.flags.writeable = False
         object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraint_matrix", np.ascontiguousarray(a))
+        object.__setattr__(self, "constraint_matrix", a)
         object.__setattr__(self, "rhs", b)
 
     @property
@@ -99,29 +111,15 @@ class LinearProgram:
         return self.constraint_matrix.shape[0]
 
 
-class Basis(NamedTuple):
-    """An optimal basis: the kept constraints and the basic columns.
-
-    ``rows`` holds constraint indices, in increasing order; ``columns``
-    holds the basic columns in tableau position order.  The two are
-    not paired: B = A[rows][:, columns].
-    """
-
-    rows: np.ndarray
-    columns: np.ndarray
-
-
 @dataclass(frozen=True)
 class LpSolution:
-    """Optimal vertex (or infeasible/unbounded verdict) for a LinearProgram."""
+    """Optimal vertex of a LinearProgram, with its basic columns in tableau position order."""
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
     objective_value: float
     point: np.ndarray = field(repr=False)
-    support: np.ndarray = field(repr=False)
     residual: float
     pivots: int
-    basis: Basis = field(default=None, repr=False)  # set when optimal
+    basis: np.ndarray = field(repr=False)
 
 
 def _pivot(T, basis, row, col):
@@ -215,7 +213,7 @@ def _factor(M, b, cost, basis):
 
 def _refactorer(M, b, cost, phase):
     """``refactor`` callback for _simplex over the tableau of (M, b, cost)."""
-    limit = DRIFT_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
+    limit = DRIFT_TOL * (1.0 + float(b.max(initial=0.0)))
 
     def refactor(T, basis, pivots):
         try:
@@ -236,46 +234,43 @@ def _run(T, basis, max_iter, phase, refactor, stop_at=None):
     status, pivots = _simplex(T, basis, max_iter, refactor=refactor, stop_at=stop_at)
     if status == ITERATION_LIMIT:
         raise SimplexError(f"phase {phase}: pivot limit {max_iter} exhausted")
-    return status, pivots
+    if status == UNBOUNDED:
+        raise SimplexError(f"phase {phase}: objective unbounded after {pivots} pivots")
+    return pivots
 
 
 def _phase1(A, b, max_iter):
     """Find a feasible basis of A a = b, a >= 0 from the all-artificial one.
 
-    Returns (kept constraints, basic columns, basic values, pivots);
-    the constraints and columns are None when the system is infeasible.
+    Returns (basic columns, basic values, pivots).  Raises SimplexError
+    when the system is infeasible or a constraint is a linear
+    combination of the others.
     """
     m, n = A.shape
     M = np.hstack((A, np.eye(m)))
     cost = np.concatenate((np.zeros(n), np.ones(m)))
     basis = np.arange(n, n + m, dtype=np.int64)
     T = _factor(M, b, cost, basis)
-    _, pivots = _run(T, basis, max_iter, 1, _refactorer(M, b, cost, 1), stop_at=FEASIBILITY_TOL)
-    # The sum of artificials is bounded below by 0, so "unbounded" cannot occur.
+    pivots = _run(T, basis, max_iter, 1, _refactorer(M, b, cost, 1), stop_at=FEASIBILITY_TOL)
     if -T[-1, -1] > FEASIBILITY_TOL:
-        return None, None, None, pivots
+        raise SimplexError(f"phase 1: infeasible, artificial sum {-T[-1, -1]:.3e} after {pivots} pivots")
 
-    # Pivot lingering artificials out of the (degenerate) basis.  A
-    # tableau row whose real entries are all roundoff makes the
-    # constraint of its artificial redundant: the artificial of
-    # constraint k sits at some position i, not necessarily k, so
-    # position i leaves the basis and constraint k leaves the rows.
-    keep_pos = np.ones(m, dtype=bool)
-    keep_row = np.ones(m, dtype=bool)
+    # Pivot lingering artificials out of the (degenerate) basis.  The
+    # artificial of constraint k sits at some position i, not
+    # necessarily k; when the real entries of row i are all roundoff,
+    # constraint k is a combination of the others.
     for i in np.flatnonzero(basis >= n):
         col = int(np.argmax(np.abs(T[i, :n])))
         if abs(T[i, col]) <= PIVOT_TOL:
-            keep_pos[i] = False
-            keep_row[basis[i] - n] = False
-        else:
-            _pivot(T, basis, i, col)
-    return np.flatnonzero(keep_row), basis[keep_pos], T[:m, -1][keep_pos], pivots
+            raise SimplexError(f"constraint {basis[i] - n} is linearly dependent")
+        _pivot(T, basis, i, col)
+    return basis, T[:m, -1].copy(), pivots  # a copy frees the phase-1 tableau
 
 
-def _warm_tableau(A, b, cost, rows, basis):
-    """Phase-2 tableau on ``rows`` and ``basis``, or None if that is no feasible basis."""
+def _warm_tableau(A, b, cost, basis):
+    """Phase-2 tableau on ``basis``, or None if that is no feasible basis."""
     try:
-        T = _factor(A[rows], b[rows], cost, basis)
+        T = _factor(A, b, cost, basis)
     except np.linalg.LinAlgError:
         return None
     return T if (T[:-1, -1] >= -SUPPORT_TOL).all() else None
@@ -284,51 +279,37 @@ def _warm_tableau(A, b, cost, rows, basis):
 def solve(lp, start=None):
     """Solve to an optimal basic feasible (vertex) solution.
 
-    Returns an LpSolution with status "optimal", "infeasible", or
-    "unbounded".  ``support`` lists the indices with point > SUPPORT_TOL.
-    ``start`` is the ``basis`` of an earlier solution of an LP with the
-    same constraints; phase 2 then starts from it, and phase 1 runs only
-    if it is not a feasible basis here.
+    Returns an LpSolution.  ``start`` is the ``basis`` of an earlier
+    solution of an LP with the same constraints; phase 2 then starts
+    from it, and phase 1 runs only if it is not a feasible basis here.
 
     The thresholds are this module's constants: phase 1 ends once the
     artificial sum is <= FEASIBILITY_TOL, and SUPPORT_TOL is both the
     negative slack a warm-start basis may have and the roundoff clamped
     from the vertex.  Each phase may take 10000 + 100 (m + n) pivots.
-    Raises SimplexError on numerical breakdown.
+    Raises SimplexError when the LP is infeasible, unbounded or has a
+    linearly dependent constraint, and on numerical breakdown.
     """
     m, n = lp.n_constraints, lp.n_vars
     max_iter = 10_000 + 100 * (m + n)
-
-    A = lp.constraint_matrix.copy()
-    b = lp.rhs.copy()
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
+    A, b = lp.constraint_matrix, lp.rhs
     cost = -lp.objective  # _simplex minimizes
+    refactor = _refactorer(A, b, cost, 2)
 
     total_pivots = 0
     T = None
     if start is not None:
-        rows, basis = (np.array(v, dtype=np.int64) for v in start)
-        T = _warm_tableau(A, b, cost, rows, basis)
+        basis = np.array(start, dtype=np.int64)
+        T = _warm_tableau(A, b, cost, basis)
     if T is None:
-        rows, basis, x_basic, total_pivots = _phase1(A, b, max_iter)
-        if rows is None:
-            zero = np.zeros(n)
-            return LpSolution("infeasible", np.nan, zero, np.empty(0, dtype=np.int64), np.nan, total_pivots)
-    refactor = _refactorer(A[rows], b[rows], cost, 2)
-    if T is None:
-        # Phase 2 starts from a tableau rebuilt from the kept rows, with
-        # the artificial columns gone and the real objective installed.
-        T = np.zeros((rows.size + 1, n + 1))
+        basis, x_basic, total_pivots = _phase1(A, b, max_iter)
+        # Phase 2 starts from a tableau rebuilt from the original rows,
+        # with the artificial columns gone and the real objective installed.
+        T = np.zeros((m + 1, n + 1))
         T[:-1, -1] = x_basic
         refactor(T, basis, 0)
 
-    status, pivots = _run(T, basis, max_iter, 2, refactor)
-    total_pivots += pivots
-    if status == UNBOUNDED:
-        zero = np.zeros(n)
-        return LpSolution("unbounded", np.inf, zero, np.empty(0, dtype=np.int64), np.nan, total_pivots)
+    total_pivots += _run(T, basis, max_iter, 2, refactor)
 
     x = np.zeros(n)
     x[basis] = T[:-1, -1]
@@ -337,11 +318,8 @@ def solve(lp, start=None):
     if (x < 0).any():
         raise SimplexError("negative basic variable beyond tolerance")
 
-    residual = float(np.max(np.abs(lp.constraint_matrix @ x - lp.rhs))) if m else 0.0
-    if residual > max(FEASIBILITY_TOL, 1e-9 * (1.0 + float(np.abs(lp.rhs).max(initial=0.0)))):
+    residual = float(np.max(np.abs(A @ x - b))) if m else 0.0
+    if residual > max(FEASIBILITY_TOL, 1e-9 * (1.0 + float(b.max(initial=0.0)))):
         raise SimplexError(f"constraint residual {residual:.3e} exceeds tolerance")
 
-    support = np.flatnonzero(x > SUPPORT_TOL)
-    return LpSolution(
-        "optimal", float(lp.objective @ x), x, support, residual, total_pivots, Basis(rows, basis)
-    )
+    return LpSolution(float(lp.objective @ x), x, residual, total_pivots, basis)

@@ -76,7 +76,7 @@ class ContingencyTable:
         values = np.asarray(self.counts)
         try:
             with np.errstate(invalid="ignore"):
-                counts = np.asarray(values, dtype=np.int64)
+                counts = np.array(values, dtype=np.int64)  # a private copy, frozen below
         except OverflowError:
             raise TableError(f"a cell count is outside the int64 range (max {COUNT_MAX})") from None
         # the cast truncates floats, so 0.2 would become a sampling

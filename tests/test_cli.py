@@ -160,6 +160,13 @@ class TestExitCodes:
         code, _, err = run_cli("--dataset", "haberman", "--formula", "freq ~ a**b")
         assert code == cli.EXIT_FORMULA
 
+    @pytest.mark.parametrize("formula", ["[a b][c]", "|a,b|c|"])
+    def test_generator_separator_is_formula_error(self, formula):
+        code, out, err = run_cli("--dataset", "haberman", "--formula", formula)
+        assert code == cli.EXIT_FORMULA
+        assert out == ""
+        assert "bad model" in err
+
     def test_unknown_dataset_rejected_by_parser(self, capsys):
         code, _out, err = run_cli("--dataset", "nope", "--formula", "freq ~ a")
         assert code == cli.EXIT_USAGE

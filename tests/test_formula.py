@@ -68,6 +68,13 @@ class TestParseGenerators:
         with pytest.raises(FormulaError):
             parse_generators(bad)
 
+    @pytest.mark.parametrize("bad", ["[a b][c]", "[a,b]", "|a-b|c|", "|a b|", "[a1]"])
+    def test_rejects_non_identifier_factor_characters(self, bad):
+        # each character of a group names a factor, so it must be an
+        # identifier character, as formula factor names are identifiers
+        with pytest.raises(FormulaError, match="bad factor name"):
+            parse_generators(bad)
+
 
 names = st.frozensets(st.sampled_from("abcde"), min_size=1, max_size=4)
 

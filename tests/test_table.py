@@ -176,3 +176,13 @@ class TestImmutability:
     def test_counts_not_writable(self, haberman_table):
         with pytest.raises(ValueError):
             haberman_table.counts[0] = 5
+
+    def test_callers_counts_stay_writable(self):
+        # the table freezes its own copy, not the caller's int64 array
+        factors = make_table((2,), [0, 0]).factors
+        counts = np.array([3, 0], dtype=np.int64)
+        table = ContingencyTable(factors, counts)
+        counts[0] = 5
+        assert table.counts.tolist() == [3, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            table.counts[0] = 5
