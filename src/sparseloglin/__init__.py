@@ -7,12 +7,12 @@ extended MLE on it with the correct effective dimension, degrees of
 freedom, and information criteria.
 """
 
-from .design import DesignMatrix, SufficientStatistic, build_design, matrix_rank, sufficient_statistic
+from .design import DesignMatrix, build_design, matrix_rank
 from .faces import FacialSet, find_facial_set, mle_exists, per_cell_oracle
-from .fit import FitError, FitResult, bic, cbic, deviance, fit, loglik, standard_errors
+from .fit import FitError, FitResult, bic, cbic, deviance, fit, loglik
 from .formula import FormulaError, ModelFormula, parse_formula, parse_generators
-from .lp import LinearProgram, LpSolution, SimplexError, solve
-from .table import ContingencyTable, FactorSpec, TableError, binarize, marginal, parse_table, serialize_table
+from .lp import SimplexError
+from .table import ContingencyTable, FactorSpec, TableError, parse_table
 
 __version__ = "0.1.0"
 
@@ -21,22 +21,14 @@ __all__ = [
     "FactorSpec",
     "TableError",
     "parse_table",
-    "serialize_table",
-    "marginal",
-    "binarize",
     "ModelFormula",
     "FormulaError",
     "parse_formula",
     "parse_generators",
     "DesignMatrix",
-    "SufficientStatistic",
     "build_design",
-    "sufficient_statistic",
     "matrix_rank",
-    "LinearProgram",
-    "LpSolution",
     "SimplexError",
-    "solve",
     "FacialSet",
     "find_facial_set",
     "per_cell_oracle",
@@ -48,6 +40,5 @@ __all__ = [
     "deviance",
     "bic",
     "cbic",
-    "standard_errors",
     "__version__",
 ]

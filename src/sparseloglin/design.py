@@ -1,4 +1,4 @@
-"""Baseline-coded 0/1 design matrices and sufficient statistics.
+"""Baseline-coded 0/1 design matrices.
 
 Each model term contributes one indicator column per combination of
 non-baseline levels of its factors; the intercept column of ones comes
@@ -17,7 +17,7 @@ import numpy as np
 from .formula import INTERCEPT
 from .table import DENSE_BUDGET
 
-__all__ = ["ColumnLabel", "DesignMatrix", "SufficientStatistic", "build_design", "sufficient_statistic", "matrix_rank", "Rank"]
+__all__ = ["ColumnLabel", "DesignMatrix", "build_design", "matrix_rank", "Rank"]
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,8 @@ class DesignMatrix:
     """Full-column-rank 0/1 design matrix with labeled columns.
 
     Row i is the binary vector of cell i in canonical cell order;
-    column 0 is the intercept.
+    column 0 is the intercept.  The matrix is kept as a read-only view;
+    a C-contiguous float64 matrix is not copied.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -104,7 +105,7 @@ class DesignMatrix:
     factor_names: tuple
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        m = np.ascontiguousarray(self.matrix, dtype=np.float64).view()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -116,19 +117,6 @@ class DesignMatrix:
     @property
     def n_cells(self):
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class SufficientStatistic:
-    """t = X'n, computed in exact integer arithmetic."""
-
-    t: np.ndarray = field(repr=False)
-    counts: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.int64)
-        t.flags.writeable = False
-        object.__setattr__(self, "t", t)
 
 
 def build_design(table, model):
@@ -198,14 +186,3 @@ def build_design(table, model):
             "baseline coding of a hierarchical model should be full rank"
         )
     return DesignMatrix(X, tuple(labels), table.factor_names)
-
-
-def sufficient_statistic(design, counts):
-    """t = X'counts, exact in int64."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != (design.n_cells,):
-        raise ValueError(
-            f"counts has shape {counts.shape}, expected ({design.n_cells},)"
-        )
-    xt = design.matrix.astype(np.int64).T
-    return SufficientStatistic(xt @ counts, counts)

@@ -78,10 +78,6 @@ class FacialSet:
     def n_face_cells(self):
         return int(self.in_face.sum())
 
-    def excluded_cells(self):
-        """Flat positions of cells outside the face."""
-        return np.flatnonzero(~self.in_face)
-
 
 def _binarized_statistic(table, design):
     # 0/1 entries, so the float64 sums are exact integers

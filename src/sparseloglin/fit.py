@@ -27,7 +27,6 @@ __all__ = [
     "deviance",
     "bic",
     "cbic",
-    "standard_errors",
 ]
 
 
@@ -76,9 +75,6 @@ class FitResult:
     cbic: float = np.nan
     converged: bool = False
     n_iter: int = 0
-    moment_residual: float = np.nan
-    in_face: np.ndarray = field(default=None, repr=False)
-    design: object = field(default=None, repr=False)
 
     def aliased_columns(self):
         return tuple(c for c in self.coefficients if c.aliased)
@@ -188,11 +184,6 @@ def cbic(result):
     return result.loglik - 0.5 * result.face_dimension * math.log(result.total)
 
 
-def standard_errors(result):
-    """Per-column standard errors; nan marks aliased or unavailable."""
-    return np.array([c.std_error for c in result.coefficients])
-
-
 def fit(table, model, facial_set=None, design=None, require_convergence=True):
     """Fit the Poisson log-linear model restricted to the facial set.
 
@@ -214,7 +205,7 @@ def fit(table, model, facial_set=None, design=None, require_convergence=True):
     if facial_set is None:
         in_face = np.ones(n_cells, dtype=bool)
     else:
-        in_face = facial_set.in_face.copy()
+        in_face = facial_set.in_face
         if np.any((table.counts > 0) & ~in_face):
             raise FitError("facial set excludes a cell with a positive count")
 
@@ -247,7 +238,6 @@ def fit(table, model, facial_set=None, design=None, require_convergence=True):
     fitted = np.zeros(n_cells)
     fitted[in_face] = mu
     fitted.flags.writeable = False
-    moment_residual = float(np.max(np.abs(x_star.T @ (mu - nf)))) if len(kept) else 0.0
 
     # observed information on the kept columns
     info = x_star.T @ (x_star * mu.reshape(-1, 1))
@@ -287,8 +277,5 @@ def fit(table, model, facial_set=None, design=None, require_convergence=True):
         total=total,
         converged=converged,
         n_iter=int(n_iter),
-        moment_residual=moment_residual,
-        in_face=in_face,
-        design=design,
     )
     return replace(result, bic=bic(result), cbic=cbic(result))

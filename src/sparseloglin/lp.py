@@ -1,5 +1,8 @@
 """Equality-constrained nonnegative linear programs.
 
+This module is internal to ``faces``, which states its facial LPs
+through it; it is not part of the package's public API.
+
 Solves  max c'a  subject to  A a = b, a >= 0  with a self-contained
 two-phase dense simplex.  The contract is that of the facial LPs,
 X'a = t': b >= 0 (``LinearProgram`` rejects a negative entry), the
@@ -117,7 +120,6 @@ class LpSolution:
 
     objective_value: float
     point: np.ndarray = field(repr=False)
-    residual: float
     pivots: int
     basis: np.ndarray = field(repr=False)
 
@@ -322,4 +324,4 @@ def solve(lp, start=None):
     if residual > max(FEASIBILITY_TOL, 1e-9 * (1.0 + float(b.max(initial=0.0)))):
         raise SimplexError(f"constraint residual {residual:.3e} exceeds tolerance")
 
-    return LpSolution(float(lp.objective @ x), x, residual, total_pivots, basis)
+    return LpSolution(float(lp.objective @ x), x, total_pivots, basis)

@@ -8,20 +8,12 @@ sets, reports).
 """
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "DENSE_BUDGET",
-    "FactorSpec",
-    "ContingencyTable",
-    "TableError",
-    "parse_table",
-    "serialize_table",
-    "marginal",
-    "binarize",
-]
+__all__ = ["DENSE_BUDGET", "FactorSpec", "ContingencyTable", "TableError", "parse_table"]
 
 # Most entries a dense per-cell array may hold: the counts of a parsed
 # table, or a design's n_cells x d matrix (128 MiB of float64).
@@ -29,6 +21,10 @@ DENSE_BUDGET = 2**24
 
 # Largest cell count, and largest total, that int64 counts can hold.
 COUNT_MAX = 2**63 - 1
+
+# A frequency token: an ASCII decimal integer.  int() alone would also
+# take "1_000" and non-ASCII digits such as "３".
+_FREQUENCY = re.compile(r"[+-]?[0-9]+")
 
 
 class TableError(ValueError):
@@ -123,16 +119,6 @@ class ContingencyTable:
         grids = np.indices(self.shape).reshape(len(self.factors), -1)
         return grids.T
 
-    def flat_index(self, coords):
-        """Map level-index coordinates to the flat cell position."""
-        coords = tuple(coords)
-        if len(coords) != len(self.factors):
-            raise TableError(f"cell {coords} has wrong arity")
-        for c, f in zip(coords, self.factors):
-            if not 0 <= c < f.n_levels:
-                raise TableError(f"coordinate {c} out of range for factor {f.name!r}")
-        return int(np.ravel_multi_index(coords, self.shape))
-
     def label_columns(self, convert=None):
         """Level labels of every cell, one list per factor, in canonical order.
 
@@ -147,24 +133,20 @@ class ContingencyTable:
             columns.append(np.fromiter(levels, dtype=object, count=f.n_levels)[coords[:, k]].tolist())
         return columns
 
-    def cell_labels(self):
-        """Level labels of every cell in canonical order, one tuple per cell."""
-        return list(zip(*self.label_columns()))
 
-    def zero_cells(self):
-        """Flat positions of the sampling zeros."""
-        return np.flatnonzero(self.counts == 0)
-
-
-def _levels_from_column(values):
+def _levels_from_column(name, values):
     # First-appearance order, unless every label parses as a number,
-    # in which case ascending numeric order.
+    # in which case ascending numeric order.  Two labels of one number,
+    # such as 0 and 0.0, would make two levels of one value.
     seen = list(dict.fromkeys(values))
     try:
         numeric = [float(v) for v in seen]
     except ValueError:
         return tuple(seen)
     order = np.argsort(numeric, kind="stable")
+    for i, j in zip(order, order[1:]):
+        if numeric[i] == numeric[j]:
+            raise TableError(f"factor {name!r}: levels {seen[i]!r} and {seen[j]!r} are the same number")
     return tuple(seen[i] for i in order)
 
 
@@ -180,9 +162,10 @@ def parse_table(source, freq_column="freq"):
     ``source`` is a string or an iterable of lines.  The header names
     the factor columns plus the frequency column; each data row names
     one cell.  Cells absent from the input get count 0.  Duplicate
-    cells, ragged rows, negative or non-integer frequencies, a frequency
-    or total above COUNT_MAX, and more than DENSE_BUDGET cells are
-    errors.
+    cells, ragged rows, frequencies that are negative or not ASCII
+    decimal integers, a frequency or total above COUNT_MAX, two numeric
+    labels of one factor with the same value, and more than
+    DENSE_BUDGET cells are errors.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -207,10 +190,9 @@ def parse_table(source, freq_column="freq"):
         if len(toks) != len(header):
             raise TableError(f"line {lineno}: expected {len(header)} fields, got {len(toks)}")
         freq_tok = toks[freq_pos]
-        try:
-            freq = int(freq_tok)
-        except ValueError:
-            raise TableError(f"line {lineno}: non-integer frequency {freq_tok!r}") from None
+        if not _FREQUENCY.fullmatch(freq_tok):
+            raise TableError(f"line {lineno}: non-integer frequency {freq_tok!r}")
+        freq = int(freq_tok)
         if freq < 0:
             raise TableError(f"line {lineno}: negative frequency {freq}")
         if freq > COUNT_MAX:
@@ -222,7 +204,7 @@ def parse_table(source, freq_column="freq"):
         raise TableError(f"total count {total} exceeds the int64 range (max {COUNT_MAX})")
 
     factors = tuple(
-        FactorSpec(name, _levels_from_column([r[0][k] for r in rows]))
+        FactorSpec(name, _levels_from_column(name, [r[0][k] for r in rows]))
         for k, name in enumerate(factor_names)
     )
     level_pos = [{lab: i for i, lab in enumerate(f.levels)} for f in factors]
@@ -242,36 +224,3 @@ def parse_table(source, freq_column="freq"):
         counts[flat] = freq
 
     return ContingencyTable(factors, counts)
-
-
-def serialize_table(table):
-    """Render a table as comma-separated text that parse_table round-trips.
-
-    The counts go in a last column named ``freq``.
-    """
-    lines = [",".join([*table.factor_names, "freq"])]
-    for labels, count in zip(table.cell_labels(), table.counts):
-        lines.append(",".join([*(str(x) for x in labels), str(int(count))]))
-    return "\n".join(lines) + "\n"
-
-
-def marginal(table, subset):
-    """Sum counts over the factors not in ``subset``.
-
-    Returns the marginal count vector over the subset's product space
-    in canonical order (subset factors kept in table factor order).
-    The empty subset yields the length-1 vector (N,).
-    """
-    subset = set(subset)
-    unknown = subset - set(table.factor_names)
-    if unknown:
-        raise TableError(f"unknown factor(s) {sorted(unknown)}")
-    keep = [k for k, name in enumerate(table.factor_names) if name in subset]
-    drop = tuple(k for k in range(len(table.factors)) if k not in keep)
-    cube = table.counts.reshape(table.shape)
-    return cube.sum(axis=drop).reshape(-1) if drop else cube.reshape(-1)
-
-
-def binarize(table):
-    """Replace every positive count by 1, preserving the zero pattern."""
-    return ContingencyTable(table.factors, (table.counts > 0).astype(np.int64))

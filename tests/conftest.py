@@ -19,6 +19,26 @@ def table3x3x3():
     return example3x3x3()
 
 
+def margin(table, factors):
+    """Counts summed over the factors not in ``factors``, flat, in table factor order."""
+    drop = tuple(k for k, name in enumerate(table.factor_names) if name not in factors)
+    return table.counts.reshape(table.shape).sum(axis=drop).reshape(-1)
+
+
+def table_csv(table):
+    """Comma-separated text of every cell, with the counts in a last column named freq."""
+    lines = [",".join((*table.factor_names, "freq"))]
+    for coords, n in zip(table.cell_coords(), table.counts.tolist()):
+        lines.append(",".join([*(str(f.levels[c]) for f, c in zip(table.factors, coords)), str(n)]))
+    return "\n".join(lines) + "\n"
+
+
+def moment_residual(table, design, in_face, result):
+    """max|X_F'(m_F - n_F)| over the face rows F and the fit's estimable columns."""
+    x = design.matrix[np.ix_(in_face, result.estimable_columns)]
+    return float(np.abs(x.T @ (result.fitted_means[in_face] - table.counts[in_face])).max(initial=0.0))
+
+
 def make_table(shape, counts):
     names = "abcdefghij"
     factors = tuple(

@@ -241,3 +241,19 @@ class TestExitCodes:
         assert out == ""
         assert message in err
         assert "numerical" not in err
+
+    def test_non_ascii_frequency_is_data_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,freq\n0,1\n1,３\n", encoding="utf-8")
+        code, out, err = run_cli("--data", str(path), "--formula", "[a]")
+        assert code == cli.EXIT_DATA
+        assert out == ""
+        assert "line 3: non-integer frequency '３'" in err
+
+    def test_levels_of_one_number_are_data_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,freq\n0,1\n0.0,2\n1,3\n")
+        code, out, err = run_cli("--data", str(path), "--formula", "[a]")
+        assert code == cli.EXIT_DATA
+        assert out == ""
+        assert "factor 'a': levels '0' and '0.0' are the same number" in err

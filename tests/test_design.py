@@ -5,18 +5,17 @@ import pytest
 
 from sparseloglin import (
     ContingencyTable,
+    DesignMatrix,
     FactorSpec,
     build_design,
     find_facial_set,
-    marginal,
     parse_formula,
     parse_generators,
-    sufficient_statistic,
 )
 from sparseloglin.datasets import rochdale
 from sparseloglin.design import Rank, matrix_rank
 
-from conftest import iter_instances, make_table, three_way_instance
+from conftest import iter_instances, make_table, margin, three_way_instance
 from test_acceptance import BIC_ROWS, CBIC_ROWS
 
 
@@ -198,32 +197,29 @@ class TestMatrixRank:
 
 
 class TestSufficientStatistic:
+    """t = X'n and t' = X'1{n>0}, computed from the design."""
+
     def test_intercept_entry_is_total(self, haberman_table, haberman_design):
-        t = sufficient_statistic(haberman_design, haberman_table.counts).t
+        t = haberman_design.matrix.T @ haberman_table.counts
         assert t[0] == 12
 
     def test_zero_counts(self, haberman_design):
-        t = sufficient_statistic(haberman_design, np.zeros(8, dtype=int)).t
+        t = haberman_design.matrix.T @ np.zeros(8, dtype=int)
         assert np.array_equal(t, np.zeros(7))
 
     def test_binarized_total_is_positive_cell_count(self, haberman_table, haberman_design):
-        y = (haberman_table.counts > 0).astype(int)
-        assert sufficient_statistic(haberman_design, y).t[0] == 6
-
-    def test_length_mismatch(self, haberman_design):
-        with pytest.raises(ValueError, match="shape"):
-            sufficient_statistic(haberman_design, np.zeros(5, dtype=int))
+        assert (haberman_design.matrix.T @ (haberman_table.counts > 0))[0] == 6
 
     def test_entries_match_marginals(self):
         # the t-entry of a term's column equals the marginal count at
         # that column's non-baseline level combination
         for table, model in iter_instances(25, seed=7):
             design = build_design(table, model)
-            t = sufficient_statistic(design, table.counts).t
+            t = design.matrix.T @ table.counts
             for j, lab in enumerate(design.column_labels):
                 if not lab.term:
                     continue
-                marg = marginal(table, lab.term)
+                marg = margin(table, lab.term)
                 pos = {f.name: f for f in table.factors}
                 names = [n for n in table.factor_names if n in lab.term]
                 shape = tuple(pos[n].n_levels for n in names)
@@ -233,3 +229,16 @@ class TestSufficientStatistic:
                 )
                 flat = int(np.ravel_multi_index(coords, shape))
                 assert t[j] == marg[flat]
+
+
+class TestImmutability:
+    def test_callers_matrix_stays_writable(self, haberman_design):
+        # the design freezes a view of a C-contiguous float64 matrix, not the matrix
+        m = np.ones((2, 1))
+        design = DesignMatrix(m, ("(Intercept)",), ("a",))
+        assert np.shares_memory(design.matrix, m)
+        m[0, 0] = 5
+        assert design.matrix[0, 0] == 5
+        for matrix in (design.matrix, haberman_design.matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1

@@ -16,11 +16,11 @@ from sparseloglin import (
     parse_generators,
     parse_table,
     per_cell_oracle,
-    serialize_table,
 )
 from sparseloglin.datasets import example3x3x3, haberman, rochdale
 from sparseloglin.report import build_report, render_json, render_text
 
+from conftest import table_csv
 from test_faces import PAPER_MODELS
 
 
@@ -170,7 +170,7 @@ class TestCellLabels:
     def test_equals_per_cell_reference(self, levels):
         factors = tuple(FactorSpec(f"f{k}", tuple(lv)) for k, lv in enumerate(levels))
         table = ContingencyTable(factors, np.arange(math.prod(len(lv) for lv in levels)))
-        got = table.cell_labels()
+        got = list(zip(*table.label_columns()))
         want = cell_labels_reference(table)
         assert got == want
         assert [tuple(map(type, g)) for g in got] == [tuple(map(type, w)) for w in want]
@@ -182,7 +182,7 @@ class TestCellLabels:
             (FactorSpec("x", (1, 2, 10)), FactorSpec("y", ("lo", "mid", "hi"))), np.arange(9) % 4
         )
         for table in (example3x3x3(), rochdale(), ints):
-            back = parse_table(serialize_table(table))
+            back = parse_table(table_csv(table))
             assert back.factor_names == table.factor_names
-            assert back.cell_labels() == [tuple(str(x) for x in lab) for lab in table.cell_labels()]
+            assert back.label_columns() == table.label_columns(str)
             assert np.array_equal(back.counts, table.counts)
