@@ -4,36 +4,36 @@ This module is internal to ``faces``, which states its facial LPs
 through it; it is not part of the package's public API.
 
 Solves  max c'a  subject to  A a = b, a >= 0  with a self-contained
-two-phase dense simplex.  The contract is that of the facial LPs,
+two-phase revised simplex.  The contract is that of the facial LPs,
 X'a = t': b >= 0 (``LinearProgram`` rejects a negative entry), the
 rows of A are linearly independent, and the LP is feasible and
 bounded.  ``solve`` returns an optimal vertex or raises SimplexError;
 it reads A and b in place.
 
-Phase 1 adds one artificial variable per constraint row and minimizes
-their sum, stopping as soon as that sum is within the feasibility
-tolerance; a larger minimum raises "infeasible".  Artificials still in
-the basis are then pivoted out on the largest entry of their tableau
-row; a row with no real entry above the pivot threshold makes the
-artificial's constraint a combination of the others, which raises
-"linearly dependent".  Phase 2 maximizes the objective from the basis
-phase 1 leaves; an improving column with no positive entry raises
-"unbounded".
+No tableau is kept: ``_simplex`` holds the inverse of the basis matrix
+B beside the basic values, as B^-1 [I | b], prices every column from
+the original A, and updates B^-1 [I | b] by one eta step per pivot
+(Dantzig & Orchard-Hays, Math. Tables Aids Comput. 8, 1954).  Every
+REFACTOR_PIVOTS pivots, and before a phase returns its verdict, B is
+inverted afresh from A's columns; basic values that drifted further
+than DRIFT_TOL from the fresh B^-1 b raise SimplexError.  There are no
+status codes: a phase returns its pivot count at an optimum and raises
+SimplexError otherwise.  Every choice is deterministic, so the
+returned vertex is too.
 
-``_simplex`` pivots a dense tableau in place.  It prices by Dantzig's
-rule: the most negative reduced cost enters, and ratio-test ties go to
-the largest pivot element (Harris, Math. Prog. 5, 1973).  After
-STALL_PIVOTS pivots in a row that leave the objective unchanged it
-falls back to Bland's anti-cycling rule until the objective moves.
-Every REFACTOR_PIVOTS pivots, and before a phase returns its verdict,
-the tableau is rebuilt as B^-1 [A | b] from the original rows; basic
-values that drifted further than DRIFT_TOL from that rebuild raise
-SimplexError.  Every choice is deterministic, so the returned vertex
-is too.
+Phase 1 appends an identity to A, one artificial column per row, and
+minimizes the artificials' sum, stopping as soon as that sum is within
+the feasibility tolerance; a larger minimum raises "infeasible".
+Artificials still in the basis are then pivoted out on the largest
+entry of their row of B^-1 A; a row with no entry above the pivot
+threshold makes the artificial's constraint a combination of the
+others, which raises "linearly dependent".  Phase 2 maximizes the
+objective from the basis phase 1 leaves; an improving column with no
+positive entry raises "unbounded".
 
-A solution carries its final ``basis``: the basic columns in tableau
-position order.  ``solve(lp, start=basis)`` on an LP with the same
-constraints and another objective skips phase 1, because that basis is
+A solution carries its final ``basis``: the basic columns in the order
+of B's columns.  ``solve(lp, start=basis)`` on an LP with the same
+constraints and another objective skips phase 1 when that basis is
 still feasible, and starts phase 2 from it.
 """
 
@@ -48,23 +48,18 @@ FEASIBILITY_TOL = 1e-9
 SUPPORT_TOL = 1e-8
 # A reduced cost below -COST_TOL prices a column into the basis.
 COST_TOL = 1e-9
-# Smallest pivot element accepted.  With 0/1 data genuine tableau
-# entries are far above it; smaller ones are roundoff.
+# Smallest pivot element accepted.  With 0/1 data genuine entries of
+# B^-1 A are far above it; smaller ones are roundoff.
 PIVOT_TOL = 1e-7
 # Degenerate pivots in a row before Bland's rule takes over.  Dantzig's
 # rule ends the degenerate stretches of the facial LPs measured so far
 # (up to about 100 pivots on 93 rows) in far fewer pivots than Bland's.
 STALL_PIVOTS = 200
-# Pivots between rebuilds of the tableau from the original rows.
+# Pivots between inversions of B afresh from the original columns.
 REFACTOR_PIVOTS = 100
 # Largest drift of the basic values, relative to 1 + max|b|, accepted
 # at a rebuild.
 DRIFT_TOL = 1e-6
-
-# _simplex status codes
-OPTIMAL = 0
-UNBOUNDED = 3
-ITERATION_LIMIT = 5
 
 
 class SimplexError(RuntimeError):
@@ -116,7 +111,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Optimal vertex of a LinearProgram, with its basic columns in tableau position order."""
+    """Optimal vertex of a LinearProgram, with its basic columns in the order of B's columns."""
 
     objective_value: float
     point: np.ndarray = field(repr=False)
@@ -124,158 +119,126 @@ class LpSolution:
     basis: np.ndarray = field(repr=False)
 
 
-def _pivot(T, basis, row, col):
-    """Pivot the tableau on (row, col): column ``col`` enters the basis at ``row``."""
-    T[row, :] /= T[row, col]
-    c = T[:, col].copy()
-    c[row] = 0.0
-    T -= np.outer(c, T[row, :])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
+def _pivot(inv, basis, row, col, a):
+    """Column ``col``, with B^-1 column ``a``, enters the basis at ``row``: one eta step on B^-1 [I | b]."""
+    inv[row] /= a[row]
+    a = a.copy()
+    a[row] = 0.0
+    inv -= np.outer(a, inv[row])
     basis[row] = col
 
 
-def _simplex(T, basis, max_iter, stall_pivots=STALL_PIVOTS, refactor=None, stop_at=None):
-    """Minimize over a dense tableau in place.
+def _invert(M, b, basis):
+    """B^-1 [I | b] for B = M[:, basis], or None if B is singular."""
+    try:
+        binv = np.linalg.inv(M[:, basis])
+    except np.linalg.LinAlgError:
+        return None
+    return np.column_stack((binv, binv @ b))
 
-    ``T`` is (m+1, n+1): rows 0..m-1 hold [A | b] with b >= 0 and an
-    identity embedded at the columns listed in ``basis``; the last row
-    holds [reduced costs | -objective].
 
-    Dantzig's rule: the most negative reduced cost below -COST_TOL
-    enters; the leaving row has the minimum ratio over pivot elements
-    above PIVOT_TOL, ties going to the largest pivot element.  Once
-    ``stall_pivots`` degenerate pivots in a row (steps inside the ratio
-    tie band, which leave the objective unchanged) have been made,
-    Bland's rule decides instead (lowest entering column, ties to the
-    lowest basic-variable index) until a step moves the objective;
-    ``stall_pivots=0`` is Bland's rule throughout.
+def _rebuild(M, b, basis, inv, phase, pivots):
+    """Replace ``inv`` in place by B^-1 [I | b] inverted afresh from the original columns.
 
-    ``refactor(T, basis, pivots)``, if given, rebuilds T in place from
-    the original data every REFACTOR_PIVOTS pivots and before a verdict
-    is returned from a tableau pivoted since its last rebuild.  With
-    ``stop_at``, the loop also ends as OPTIMAL once the objective is
-    <= stop_at.  Returns (status, pivot_count).
+    Raises SimplexError if B is singular or the basic values drifted
+    further than DRIFT_TOL from the fresh B^-1 b.
     """
-    m = T.shape[0] - 1
-    n = T.shape[1] - 1
-    pivots = stalled = since_refactor = 0
+    fresh = _invert(M, b, basis)
+    if fresh is None:
+        raise SimplexError(f"phase {phase}: singular basis after {pivots} pivots")
+    drift = float(np.abs(fresh[:, -1] - inv[:, -1]).max(initial=0.0))
+    if not drift <= DRIFT_TOL * (1.0 + float(b.max(initial=0.0))):
+        raise SimplexError(f"phase {phase}: basic values drifted {drift:.3e} from B^-1 b after {pivots} pivots")
+    inv[...] = fresh
+
+
+def _simplex(M, b, cost, basis, inv, max_iter, phase, stop_at=None):
+    """Minimize cost . a subject to M a = b, a >= 0 from a feasible basis.
+
+    ``basis`` lists the basic columns and ``inv`` holds B^-1 [I | b]
+    for B = M[:, basis]; both are updated in place.  Dantzig's rule:
+    the most negative reduced cost, cost - (cost_B B^-1) M, below
+    -COST_TOL enters; the leaving row has the minimum ratio over the
+    entries of B^-1 M_j above PIVOT_TOL, ties going to the largest
+    entry (Harris, Math. Prog. 5, 1973).  After STALL_PIVOTS
+    degenerate pivots in a row (steps inside the ratio tie band, which
+    leave the objective unchanged), Bland's rule decides (lowest
+    entering column, ties to the lowest basic-variable index) until a
+    step moves the objective.
+
+    ``inv`` is rebuilt every REFACTOR_PIVOTS pivots and before a
+    verdict on a basis pivoted since its last rebuild.  With
+    ``stop_at``, the loop also ends once the objective is <= stop_at.
+    Returns the pivot count; raises SimplexError, naming ``phase``,
+    when the objective is unbounded or max_iter pivots are spent.
+    """
+    m = M.shape[0]
+    binv, x = inv[:, :m], inv[:, m]
+    pivots = stalled = since_rebuild = 0
     while True:
-        bland = stalled >= stall_pivots
-        costs = T[m, :n]
-        if bland:
-            col = int(np.argmax(costs < -COST_TOL))
-        else:
-            col = int(np.argmin(costs))
-        if stop_at is not None and -T[m, n] <= stop_at or not costs[col] < -COST_TOL:
-            status = OPTIMAL
-        else:
-            a = T[:m, col]
+        bland = stalled >= STALL_PIVOTS
+        costs = cost - (cost[basis] @ binv) @ M
+        costs[basis] = 0.0  # not roundoff: a basic column must not re-enter
+        col = int(np.argmax(costs < -COST_TOL)) if bland else int(np.argmin(costs))
+        optimal = stop_at is not None and cost[basis] @ x <= stop_at or not costs[col] < -COST_TOL
+        if not optimal:
+            a = binv @ M[:, col]
             rows = np.flatnonzero(a > PIVOT_TOL)
-            status = UNBOUNDED if rows.size == 0 else None
-        if status is not None:
-            if refactor is None or since_refactor == 0:
-                return status, pivots
-            refactor(T, basis, pivots)
-            since_refactor = 0
-            continue
+        if optimal or rows.size == 0:
+            if since_rebuild:
+                _rebuild(M, b, basis, inv, phase, pivots)
+                since_rebuild = 0
+                continue
+            if optimal:
+                return pivots
+            raise SimplexError(f"phase {phase}: objective unbounded after {pivots} pivots")
 
         # basic values below 0 are roundoff; they take a zero step
-        ratios = np.maximum(T[rows, n], 0.0) / a[rows]
+        ratios = np.maximum(x[rows], 0.0) / a[rows]
         best = ratios.min()
         ties = rows[ratios <= best + 1e-9 * (1.0 + best)]
         row = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(a[ties])]
-        _pivot(T, basis, row, col)
+        _pivot(inv, basis, row, col, a)
 
         pivots += 1
-        since_refactor += 1
+        since_rebuild += 1
         # a step inside the tie band is degenerate: the objective stays
         stalled = stalled + 1 if best <= 1e-9 else 0
         if pivots >= max_iter:
-            return ITERATION_LIMIT, pivots
-        if refactor is not None and since_refactor >= REFACTOR_PIVOTS:
-            refactor(T, basis, pivots)
-            since_refactor = 0
-
-
-def _factor(M, b, cost, basis):
-    """Tableau B^-1 [M | b] with its reduced-cost row, for B = M[:, basis].
-
-    Raises numpy.linalg.LinAlgError if B is singular.
-    """
-    m, n = M.shape
-    T = np.empty((m + 1, n + 1))
-    T[:m] = np.linalg.solve(M[:, basis], np.column_stack((M, b)))
-    T[:m, basis] = np.eye(m)
-    T[m, :n] = cost - cost[basis] @ T[:m, :n]
-    T[m, basis] = 0.0
-    T[m, n] = -cost[basis] @ T[:m, n]
-    return T
-
-
-def _refactorer(M, b, cost, phase):
-    """``refactor`` callback for _simplex over the tableau of (M, b, cost)."""
-    limit = DRIFT_TOL * (1.0 + float(b.max(initial=0.0)))
-
-    def refactor(T, basis, pivots):
-        try:
-            fresh = _factor(M, b, cost, basis)
-        except np.linalg.LinAlgError:
-            raise SimplexError(f"phase {phase}: singular basis after {pivots} pivots") from None
-        drift = float(np.abs(fresh[:-1, -1] - T[:-1, -1]).max(initial=0.0))
-        if not drift <= limit:
-            raise SimplexError(
-                f"phase {phase}: basic values drifted {drift:.3e} from B^-1 b after {pivots} pivots"
-            )
-        T[...] = fresh
-
-    return refactor
-
-
-def _run(T, basis, max_iter, phase, refactor, stop_at=None):
-    status, pivots = _simplex(T, basis, max_iter, refactor=refactor, stop_at=stop_at)
-    if status == ITERATION_LIMIT:
-        raise SimplexError(f"phase {phase}: pivot limit {max_iter} exhausted")
-    if status == UNBOUNDED:
-        raise SimplexError(f"phase {phase}: objective unbounded after {pivots} pivots")
-    return pivots
+            raise SimplexError(f"phase {phase}: pivot limit {max_iter} exhausted")
+        if since_rebuild >= REFACTOR_PIVOTS:
+            _rebuild(M, b, basis, inv, phase, pivots)
+            since_rebuild = 0
 
 
 def _phase1(A, b, max_iter):
     """Find a feasible basis of A a = b, a >= 0 from the all-artificial one.
 
-    Returns (basic columns, basic values, pivots).  Raises SimplexError
-    when the system is infeasible or a constraint is a linear
-    combination of the others.
+    Returns (basic columns, B^-1 [I | b] for them, pivots).  Raises
+    SimplexError when the system is infeasible or a constraint is a
+    linear combination of the others.
     """
     m, n = A.shape
     M = np.hstack((A, np.eye(m)))
     cost = np.concatenate((np.zeros(n), np.ones(m)))
     basis = np.arange(n, n + m, dtype=np.int64)
-    T = _factor(M, b, cost, basis)
-    pivots = _run(T, basis, max_iter, 1, _refactorer(M, b, cost, 1), stop_at=FEASIBILITY_TOL)
-    if -T[-1, -1] > FEASIBILITY_TOL:
-        raise SimplexError(f"phase 1: infeasible, artificial sum {-T[-1, -1]:.3e} after {pivots} pivots")
+    inv = _invert(M, b, basis)
+    pivots = _simplex(M, b, cost, basis, inv, max_iter, 1, stop_at=FEASIBILITY_TOL)
+    infeasibility = cost[basis] @ inv[:, -1]
+    if infeasibility > FEASIBILITY_TOL:
+        raise SimplexError(f"phase 1: infeasible, artificial sum {infeasibility:.3e} after {pivots} pivots")
 
     # Pivot lingering artificials out of the (degenerate) basis.  The
     # artificial of constraint k sits at some position i, not
-    # necessarily k; when the real entries of row i are all roundoff,
-    # constraint k is a combination of the others.
+    # necessarily k; when the real entries of row i of B^-1 A are all
+    # roundoff, constraint k is a combination of the others.
     for i in np.flatnonzero(basis >= n):
-        col = int(np.argmax(np.abs(T[i, :n])))
-        if abs(T[i, col]) <= PIVOT_TOL:
+        row = inv[i, :m] @ A
+        col = int(np.argmax(np.abs(row)))
+        if abs(row[col]) <= PIVOT_TOL:
             raise SimplexError(f"constraint {basis[i] - n} is linearly dependent")
-        _pivot(T, basis, i, col)
-    return basis, T[:m, -1].copy(), pivots  # a copy frees the phase-1 tableau
-
-
-def _warm_tableau(A, b, cost, basis):
-    """Phase-2 tableau on ``basis``, or None if that is no feasible basis."""
-    try:
-        T = _factor(A, b, cost, basis)
-    except np.linalg.LinAlgError:
-        return None
-    return T if (T[:-1, -1] >= -SUPPORT_TOL).all() else None
+        _pivot(inv, basis, i, col, inv[:, :m] @ A[:, col])
+    return basis, inv, pivots
 
 
 def solve(lp, start=None):
@@ -296,25 +259,20 @@ def solve(lp, start=None):
     max_iter = 10_000 + 100 * (m + n)
     A, b = lp.constraint_matrix, lp.rhs
     cost = -lp.objective  # _simplex minimizes
-    refactor = _refactorer(A, b, cost, 2)
 
     total_pivots = 0
-    T = None
-    if start is not None:
-        basis = np.array(start, dtype=np.int64)
-        T = _warm_tableau(A, b, cost, basis)
-    if T is None:
-        basis, x_basic, total_pivots = _phase1(A, b, max_iter)
-        # Phase 2 starts from a tableau rebuilt from the original rows,
-        # with the artificial columns gone and the real objective installed.
-        T = np.zeros((m + 1, n + 1))
-        T[:-1, -1] = x_basic
-        refactor(T, basis, 0)
+    basis = None if start is None else np.array(start, dtype=np.int64)
+    inv = None if basis is None else _invert(A, b, basis)
+    if inv is None or not (inv[:, -1] >= -SUPPORT_TOL).all():
+        basis, inv, total_pivots = _phase1(A, b, max_iter)
+        # with the artificials gone, B is A[:, basis]: phase 2 starts
+        # from B inverted afresh from A's columns
+        _rebuild(A, b, basis, inv, 2, 0)
 
-    total_pivots += _run(T, basis, max_iter, 2, refactor)
+    total_pivots += _simplex(A, b, cost, basis, inv, max_iter, 2)
 
     x = np.zeros(n)
-    x[basis] = T[:-1, -1]
+    x[basis] = inv[:, -1]
     # vertex coordinates are >= 0 up to roundoff; clamp the dust
     x[(x < 0) & (x > -SUPPORT_TOL)] = 0.0
     if (x < 0).any():

@@ -137,7 +137,8 @@ class ContingencyTable:
 def _levels_from_column(name, values):
     # First-appearance order, unless every label parses as a number,
     # in which case ascending numeric order.  Two labels of one number,
-    # such as 0 and 0.0, would make two levels of one value.
+    # such as 0 and 0.0, or nan and NaN, would make two levels of one
+    # value.
     seen = list(dict.fromkeys(values))
     try:
         numeric = [float(v) for v in seen]
@@ -145,7 +146,7 @@ def _levels_from_column(name, values):
         return tuple(seen)
     order = np.argsort(numeric, kind="stable")
     for i, j in zip(order, order[1:]):
-        if numeric[i] == numeric[j]:
+        if numeric[i] == numeric[j] or math.isnan(numeric[i]) and math.isnan(numeric[j]):
             raise TableError(f"factor {name!r}: levels {seen[i]!r} and {seen[j]!r} are the same number")
     return tuple(seen[i] for i in order)
 

@@ -40,7 +40,7 @@ def moment_residual(table, design, in_face, result):
 
 
 def make_table(shape, counts):
-    names = "abcdefghij"
+    names = "abcdefghijkl"
     factors = tuple(
         FactorSpec(names[k], tuple(str(v) for v in range(n))) for k, n in enumerate(shape)
     )
@@ -79,7 +79,7 @@ def three_way_instance(seed, k=8, p0=0.85):
     """2^k table, each cell zero with probability p0, under all three-way generators."""
     rng = np.random.default_rng([seed, k, 3])
     counts = np.where(rng.random(2**k) < p0, 0, rng.poisson(2.0, 2**k) + 1)
-    gens = "".join(f"[{''.join(g)}]" for g in itertools.combinations("abcdefghij"[:k], 3))
+    gens = "".join(f"[{''.join(g)}]" for g in itertools.combinations("abcdefghijkl"[:k], 3))
     return make_table((2,) * k, counts), parse_generators(gens)
 
 

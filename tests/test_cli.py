@@ -257,3 +257,12 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         assert out == ""
         assert "factor 'a': levels '0' and '0.0' are the same number" in err
+
+    def test_nan_levels_are_data_error(self, tmp_path):
+        # NaN never equals itself, yet nan and NaN name one value
+        path = tmp_path / "t.csv"
+        path.write_text("a,freq\nnan,1\nNaN,2\n1,3\n")
+        code, out, err = run_cli("--data", str(path), "--formula", "[a]")
+        assert code == cli.EXIT_DATA
+        assert out == ""
+        assert "factor 'a': levels 'nan' and 'NaN' are the same number" in err

@@ -1,7 +1,7 @@
-"""Facial sets of 256- to 1024-cell tables against an LP solved by HiGHS.
+"""Facial sets of 256- to 2048-cell tables against an LP solved by HiGHS.
 
 These tables are well past the toy sizes of the other tests: the
-three-way models have 93 to 176 LP rows and off-face cells that no
+three-way models have 93 to 232 LP rows and off-face cells that no
 zero margin explains.  scipy is used only here, as an independent reference.
 """
 
@@ -82,7 +82,9 @@ def test_two_way_2x10_settles_with_no_lp(two_way_2x10):
     assert np.array_equal(fs.in_face, highs_facial_set(design, table.counts))
 
 
-@pytest.mark.parametrize("seed, k, p0, face_cells", [(1, 9, 0.85, 448), (0, 10, 0.92, 896)])
+@pytest.mark.parametrize(
+    "seed, k, p0, face_cells", [(1, 9, 0.85, 448), (0, 10, 0.92, 896), (0, 11, 0.95, 2048)]
+)
 def test_larger_three_way_matches_highs(seed, k, p0, face_cells):
     table, model = three_way_instance(seed, k, p0)
     design = build_design(table, model)

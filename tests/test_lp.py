@@ -42,12 +42,19 @@ def nonnegative_rhs(a_mat, b):
     return a_mat * sign[:, None], b * sign
 
 
-def bland_reference(T, basis, max_iter):
-    """Scalar-loop Bland simplex: the reference for lp._simplex's Bland path.
+# bland_reference's verdicts
+OPTIMAL, UNBOUNDED, ITERATION_LIMIT = "optimal", "unbounded", "iteration limit"
 
-    Same contract as lp._simplex with ``stall_pivots=0``; every
-    comparison is made one entry at a time, so each pivot decision is
-    plain to read.
+
+def bland_reference(T, basis, max_iter):
+    """Scalar-loop Bland simplex on a dense tableau: the reference for lp._simplex's Bland path.
+
+    ``T`` is (m+1, n+1): rows 0..m-1 hold [M | b] with an identity at
+    the columns listed in ``basis``, the last row holds [reduced costs
+    | -objective]; both are pivoted in place.  Returns (verdict,
+    pivots).  It decides as lp._simplex does with STALL_PIVOTS = 0,
+    and every comparison is made one entry at a time, so each pivot
+    decision is plain to read.
     """
     m = T.shape[0] - 1
     n = T.shape[1] - 1
@@ -59,7 +66,7 @@ def bland_reference(T, basis, max_iter):
                 pivcol = j
                 break
         if pivcol < 0:
-            return lpmod.OPTIMAL, pivots
+            return OPTIMAL, pivots
 
         best = np.inf
         for i in range(m):
@@ -69,7 +76,7 @@ def bland_reference(T, basis, max_iter):
                 if r < best:
                     best = r
         if best == np.inf:
-            return lpmod.UNBOUNDED, pivots
+            return UNBOUNDED, pivots
         thresh = best + 1e-9 * (1.0 + abs(best))
         pivrow = -1
         for i in range(m):
@@ -90,7 +97,7 @@ def bland_reference(T, basis, max_iter):
 
         pivots += 1
         if pivots >= max_iter:
-            return lpmod.ITERATION_LIMIT, pivots
+            return ITERATION_LIMIT, pivots
 
 
 def random_phase2_tableau(rng, m, n, integer=False):
@@ -221,9 +228,35 @@ class TestEdgeCases:
         assert np.allclose(sol.point, [1.0, 4.0], atol=1e-9)
 
 
+def run_engine(T, basis, max_iter):
+    """lp._simplex on the LP of tableau ``T`` (M, b and cost read from it), starting from B^-1 = I.
+
+    ``basis`` is updated in place.  Returns (verdict, pivots, tableau):
+    the verdict in bland_reference's labels, and the tableau B^-1 [M | b]
+    with its reduced-cost row [cost - cost_B B^-1 M | -objective]
+    rebuilt from the engine's final B^-1 [I | b].
+    """
+    m, n = T.shape[0] - 1, T.shape[1] - 1
+    M, b, cost = T[:m, :n], T[:m, n], T[m, :n]
+    inv = np.column_stack((np.eye(m), b))
+    try:
+        pivots = lpmod._simplex(M, b, cost, basis, inv, max_iter, 2)
+        verdict = OPTIMAL
+    except lpmod.SimplexError as err:
+        if str(err) == f"phase 2: pivot limit {max_iter} exhausted":
+            verdict, pivots = ITERATION_LIMIT, max_iter
+        else:
+            verdict = UNBOUNDED
+            pivots = int(re.fullmatch(r"phase 2: objective unbounded after (\d+) pivots", str(err)).group(1))
+    top = inv[:, :m] @ T[:m]
+    bottom = np.append(cost - cost[basis] @ top[:, :n], -cost[basis] @ inv[:, m])
+    return verdict, pivots, np.vstack((top, bottom))
+
+
 class TestSimplex:
     @pytest.mark.parametrize("integer", [False, True])
-    def test_matches_scalar_reference(self, integer):
+    def test_matches_scalar_reference(self, integer, monkeypatch):
+        monkeypatch.setattr(lpmod, "STALL_PIVOTS", 0)
         rng = np.random.default_rng(3)
         statuses = set()
         for _ in range(1000):
@@ -231,21 +264,23 @@ class TestSimplex:
             n = int(rng.integers(m + 1, m + 10))
             T, basis = random_phase2_tableau(rng, m, n, integer)
             T_ref, basis_ref = T.copy(), basis.copy()
-            got = lpmod._simplex(T, basis, 1000, stall_pivots=0)
+            status, pivots, tableau = run_engine(T, basis, 1000)
             want = bland_reference(T_ref, basis_ref, 1000)
             # identical pivot decisions: same status, pivot count, basis
-            # and, since the arithmetic is the same, the same tableau
-            assert got == want
+            # and, up to roundoff relative to its largest entry, the same
+            # tableau
+            assert (status, pivots) == want
             assert np.array_equal(basis, basis_ref)
-            assert np.array_equal(T, T_ref)
-            statuses.add(got[0])
-        assert statuses == {lpmod.OPTIMAL, lpmod.UNBOUNDED}
+            assert np.abs(tableau - T_ref).max() <= 1e-9 * (1.0 + np.abs(T_ref).max())
+            statuses.add(status)
+        assert statuses == {OPTIMAL, UNBOUNDED}
 
     @pytest.mark.parametrize("stall_pivots", [lpmod.STALL_PIVOTS, 1])
     @pytest.mark.parametrize("integer", [False, True])
-    def test_dantzig_matches_reference_optimum(self, integer, stall_pivots):
-        # stall_pivots=1 hands degenerate stretches to Bland's rule and
+    def test_dantzig_matches_reference_optimum(self, integer, stall_pivots, monkeypatch):
+        # STALL_PIVOTS = 1 hands degenerate stretches to Bland's rule and
         # back at almost every pivot
+        monkeypatch.setattr(lpmod, "STALL_PIVOTS", stall_pivots)
         rng = np.random.default_rng(3)
         statuses = set()
         for _ in range(1000):
@@ -253,28 +288,34 @@ class TestSimplex:
             n = int(rng.integers(m + 1, m + 10))
             T, basis = random_phase2_tableau(rng, m, n, integer)
             T_ref, basis_ref = T.copy(), basis.copy()
-            status, _ = lpmod._simplex(T, basis, 1000, stall_pivots=stall_pivots)
+            status, _, tableau = run_engine(T, basis, 1000)
             want, _ = bland_reference(T_ref, basis_ref, 1000)
             assert status == want
-            if status == lpmod.OPTIMAL:
-                assert abs(T[-1, -1] - T_ref[-1, -1]) <= 1e-9
-                assert (T[:-1, -1] >= -1e-9).all()
+            if status == OPTIMAL:
+                assert abs(tableau[-1, -1] - T_ref[-1, -1]) <= 1e-9
+                assert (tableau[:-1, -1] >= -1e-9).all()
             statuses.add(status)
-        assert statuses == {lpmod.OPTIMAL, lpmod.UNBOUNDED}
+        assert statuses == {OPTIMAL, UNBOUNDED}
 
-    def test_iteration_limit(self):
+    def test_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(lpmod, "STALL_PIVOTS", 0)
         rng = np.random.default_rng(5)
+        statuses = set()
         for _ in range(50):
             T, basis = random_phase2_tableau(rng, 4, 10)
             T_ref, basis_ref = T.copy(), basis.copy()
-            assert lpmod._simplex(T, basis, 1, stall_pivots=0) == bland_reference(T_ref, basis_ref, 1)
-            assert np.array_equal(T, T_ref)
+            status, pivots, tableau = run_engine(T, basis, 1)
+            assert (status, pivots) == bland_reference(T_ref, basis_ref, 1)
+            assert np.array_equal(basis, basis_ref)
+            assert np.abs(tableau - T_ref).max() <= 1e-9 * (1.0 + np.abs(T_ref).max())
+            statuses.add(status)
+        assert ITERATION_LIMIT in statuses
 
     def test_optimal_tableau_untouched(self):
         T = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0], [0.5, 0.25, 0.0]])
         basis = np.array([0, 1], dtype=np.int64)
-        status, pivots = lpmod._simplex(T.copy(), basis.copy(), 100)
-        assert status == lpmod.OPTIMAL
+        status, pivots, _ = run_engine(T, basis, 100)
+        assert status == OPTIMAL
         assert pivots == 0
 
     def test_unbounded_detected(self):
@@ -282,20 +323,19 @@ class TestSimplex:
         T = np.zeros((2, 4))
         T[0] = [1.0, -1.0, 0.0, 2.0]
         T[1] = [0.0, -1.0, 0.0, 0.0]
-        status, _ = lpmod._simplex(T, np.array([0], dtype=np.int64), 100)
-        assert status == lpmod.UNBOUNDED
+        status, _, _ = run_engine(T, np.array([0], dtype=np.int64), 100)
+        assert status == UNBOUNDED
 
     def test_drift_raises_with_phase_and_pivots(self):
-        # a tableau whose basic values disagree with B^-1 b, as after
-        # lost precision, fails at its first rebuild
+        # basic values that disagree with B^-1 b, as after lost
+        # precision, fail at the next rebuild
         a_mat = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
         b = np.array([1.0, 1.0])
-        cost = np.array([-1.0, 0.0, -1.0])
-        T = lpmod._factor(a_mat, b, cost, np.array([0, 2]))
-        T[0, -1] += 1e-3
-        refactor = lpmod._refactorer(a_mat, b, cost, 2)
+        basis = np.array([0, 2])
+        inv = lpmod._invert(a_mat, b, basis)
+        inv[0, -1] += 1e-3
         with pytest.raises(lpmod.SimplexError, match=r"phase 2: .*drifted 1\.000e-03.* after 7 pivots"):
-            refactor(T, np.array([0, 2]), 7)
+            lpmod._rebuild(a_mat, b, basis, inv, 2, 7)
 
 
 class TestDeterminism:
@@ -400,9 +440,9 @@ class TestWarmStart:
 
     def test_warm_solve_reads_the_constraints_in_place(self):
         # three-way 2^8, warm-started from the all-zero-cells optimum as
-        # in per_cell_oracle.  The rebuild at the verdict holds about
-        # four phase-2 tableaux at once; a copy of the constraints would
-        # add more than one.
+        # in per_cell_oracle.  The solve holds d x d inverses and vectors,
+        # about 1.5 phase-2 tableaux' worth at a rebuild; a copy of the
+        # constraints would add one more.
         table, model = three_way_instance(0)
         xt = np.ascontiguousarray(build_design(table, model).matrix.T)
         t_prime = xt @ (table.counts > 0)
@@ -419,4 +459,21 @@ class TestWarmStart:
             tracemalloc.stop()
         m, n = xt.shape
         assert warm.pivots > 0
-        assert peak <= 5 * 8 * (m + 1) * (n + 1)
+        assert peak <= 2 * 8 * (m + 1) * (n + 1)
+
+    def test_cold_solve_holds_one_phase1_matrix(self):
+        # the same LP solved cold: phase 1 holds [A | I] (one phase-1
+        # tableau's worth) and the d x d inverses of a rebuild, about two
+        # tableaux in all; a tableau pivoted in place would add one more
+        table, model = three_way_instance(0)
+        xt = np.ascontiguousarray(build_design(table, model).matrix.T)
+        lp = LinearProgram((table.counts == 0).astype(float), xt, xt @ (table.counts > 0))
+        tracemalloc.start()
+        try:
+            cold = solve(lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m, n = xt.shape
+        assert cold.pivots > 0
+        assert peak <= 3 * 8 * (m + 1) * (n + m + 1)

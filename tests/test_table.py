@@ -55,7 +55,7 @@ class TestParse:
         with pytest.raises(TableError, match=f"line 3: non-integer frequency '{token}'"):
             parse_table(f"a,freq\n0,1\n1,{token}\n")
 
-    @pytest.mark.parametrize("labels", [("0", "0.0"), ("1", "01")])
+    @pytest.mark.parametrize("labels", [("0", "0.0"), ("1", "01"), ("nan", "NaN")])
     def test_levels_of_one_number_rejected(self, labels):
         # they would be two levels, and two design columns, of one value
         text = f"a,freq\n{labels[0]},1\n{labels[1]},2\n2,3\n"
