@@ -102,7 +102,6 @@ class DesignMatrix:
 
     matrix: np.ndarray = field(repr=False)
     column_labels: tuple
-    factor_names: tuple
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=np.float64).view()
@@ -113,10 +112,6 @@ class DesignMatrix:
     def d(self):
         """Number of free log-linear parameters."""
         return self.matrix.shape[1]
-
-    @property
-    def n_cells(self):
-        return self.matrix.shape[0]
 
 
 def build_design(table, model):
@@ -185,4 +180,4 @@ def build_design(table, model):
             f"design matrix is rank deficient (rank {rank} < {d} columns); "
             "baseline coding of a hierarchical model should be full rank"
         )
-    return DesignMatrix(X, tuple(labels), table.factor_names)
+    return DesignMatrix(X, tuple(labels))

@@ -30,11 +30,6 @@ __all__ = [
 ]
 
 
-# _newton status codes
-CONVERGED = 0
-MAX_ITER = 1
-STALLED = 2
-
 # Newton iterations ``fit`` allows before it reports no convergence.
 NEWTON_ITER_CAP = 100
 
@@ -51,10 +46,6 @@ class Coefficient:
     estimate: float  # nan when aliased
     std_error: float  # nan when aliased or information is singular
     aliased: bool
-
-    @property
-    def term(self):
-        return self.label.term
 
 
 @dataclass(frozen=True)
@@ -73,17 +64,10 @@ class FitResult:
     total: int = 0  # N
     bic: float = np.nan
     cbic: float = np.nan
-    converged: bool = False
     n_iter: int = 0
 
-    def aliased_columns(self):
-        return tuple(c for c in self.coefficients if c.aliased)
 
-    def aliased_terms(self):
-        return tuple(c.term for c in self.coefficients if c.aliased)
-
-
-def _newton(X, y, theta0, grad_bound, step_tol, max_iter):
+def _newton(X, y, theta0, grad_bound):
     """Maximize the Poisson log-likelihood y'(X theta) - sum(exp(X theta)).
 
     Damped Newton: full step first, halved until the objective stops
@@ -91,27 +75,24 @@ def _newton(X, y, theta0, grad_bound, step_tol, max_iter):
     the gradient once the objective is flat to machine precision).
 
     Convergence requires BOTH a small gradient (max|grad| <= grad_bound)
-    and a small Newton step (max|delta| <= step_tol * (1 + max|theta|)).
+    and a small Newton step (max|delta| <= 1e-8 (1 + max|theta|)).
     When the maximizer lies on the boundary (extended-MLE case with all
     cells included) the gradient still vanishes along the divergent
     path while the step stays O(1), so a gradient-only test would
     silently accept a diverging parameter vector.
 
-    Returns (theta, status, n_iter, grad_norm).
+    Returns (theta, mu, n_iter), mu = exp(X theta) at the returned
+    theta.  Raises FitError when no damped step improves the objective
+    or NEWTON_ITER_CAP steps pass without convergence.
     """
-    n_rows, d = X.shape
+    d = X.shape[1]
     theta = theta0.copy()
     eta = X @ theta
-    if np.max(eta) > 700.0:
-        # start must be evaluable; caller guarantees a sane theta0
-        return theta, STALLED, 0, np.inf
     mu = np.exp(eta)
     f = y @ eta - mu.sum()
 
-    status = MAX_ITER
-    it = 0
-    gnorm = np.inf
-    while it < max_iter:
+    how = f"hit the {NEWTON_ITER_CAP}-iteration cap"
+    for it in range(NEWTON_ITER_CAP):
         grad = X.T @ (y - mu)
         gnorm = np.max(np.abs(grad))
 
@@ -121,12 +102,10 @@ def _newton(X, y, theta0, grad_bound, step_tol, max_iter):
         H[np.diag_indices(d)] += lam
         delta = np.linalg.solve(H, grad)
 
-        if gnorm <= grad_bound and np.max(np.abs(delta)) <= step_tol * (1.0 + np.max(np.abs(theta))):
-            status = CONVERGED
-            break
+        if gnorm <= grad_bound and np.max(np.abs(delta)) <= 1e-8 * (1.0 + np.max(np.abs(theta))):
+            return theta, mu, it
 
         step = 1.0
-        accepted = False
         f_floor = f - 1e-12 * (1.0 + abs(f))
         for _ in range(60):
             eta_try = X @ (theta + step * delta)
@@ -135,18 +114,17 @@ def _newton(X, y, theta0, grad_bound, step_tol, max_iter):
                 f_try = y @ eta_try - mu_try.sum()
                 if f_try > f_floor:
                     theta = theta + step * delta
-                    eta = eta_try
                     mu = mu_try
                     f = max(f, f_try)
-                    accepted = True
                     break
             step *= 0.5
-        it += 1
-        if not accepted:
-            status = STALLED
+        else:  # no damped step improved the objective
+            how = "stalled"
             break
-
-    return theta, status, it, gnorm
+    raise FitError(
+        f"fit {how} after {it + 1} iterations (grad norm {gnorm:.3e}); "
+        "if the MLE may not exist, fit on the facial set"
+    )
 
 
 def loglik(fitted_means, counts):
@@ -184,17 +162,18 @@ def cbic(result):
     return result.loglik - 0.5 * result.face_dimension * math.log(result.total)
 
 
-def fit(table, model, facial_set=None, design=None, require_convergence=True):
+def fit(table, model, facial_set=None, design=None):
     """Fit the Poisson log-linear model restricted to the facial set.
 
     With ``facial_set=None`` the model is fit on all cells (the
-    ordinary MLE attempt; it diverges when the MLE does not exist
-    unless ``require_convergence=False``).  The estimated columns are
-    the greedy, in-order independent columns of the face rows (see
+    ordinary MLE attempt).  The estimated columns are the greedy,
+    in-order independent columns of the face rows (see
     ``design.matrix_rank``); the fitted means do not depend on that
     choice, only the parametrization does.  Newton converges once
-    max|gradient| <= 1e-10 max(1, N) and max|step| <= 1e-8 (1 + max|theta|),
-    within NEWTON_ITER_CAP iterations.
+    max|gradient| <= 1e-10 max(1, N) and max|step| <= 1e-8 (1 + max|theta|);
+    when it stalls or spends NEWTON_ITER_CAP iterations first, as a fit
+    on all cells does when the MLE does not exist, ``fit`` raises
+    FitError and returns no partial fit.
     """
     if table.total == 0:
         raise FitError("all-zero table")
@@ -219,22 +198,11 @@ def fit(table, model, facial_set=None, design=None, require_convergence=True):
     d_face, kept = rank.rank, rank.columns
 
     x_star = xf if kept == tuple(range(d)) else np.ascontiguousarray(xf[:, kept])
+    # matrix_rank keeps column 0, the intercept, so eta starts at log(N/|F|)
     theta0 = np.zeros(len(kept))
-    if kept and kept[0] == 0:
-        theta0[0] = math.log(total / n_face)
+    theta0[0] = math.log(total / n_face)
 
-    theta, status, n_iter, gnorm = _newton(
-        x_star, nf, theta0, 1e-10 * max(1.0, float(total)), 1e-8, NEWTON_ITER_CAP
-    )
-    converged = status == CONVERGED
-    if require_convergence and not converged:
-        how = "stalled" if status == STALLED else f"hit the {NEWTON_ITER_CAP}-iteration cap"
-        raise FitError(
-            f"fit {how} after {n_iter} iterations (grad norm {gnorm:.3e}); "
-            "if the MLE may not exist, fit on the facial set"
-        )
-
-    mu = np.exp(x_star @ theta)
+    theta, mu, n_iter = _newton(x_star, nf, theta0, 1e-10 * max(1.0, float(total)))
     fitted = np.zeros(n_cells)
     fitted[in_face] = mu
     fitted.flags.writeable = False
@@ -275,7 +243,6 @@ def fit(table, model, facial_set=None, design=None, require_convergence=True):
         n_face_cells=n_face,
         residual_df=n_face - d_face,
         total=total,
-        converged=converged,
-        n_iter=int(n_iter),
+        n_iter=n_iter,
     )
     return replace(result, bic=bic(result), cbic=cbic(result))

@@ -73,17 +73,6 @@ class ModelFormula:
         """All terms in canonical order, the intercept first."""
         return sorted(self.terms, key=term_sort_key)
 
-    @classmethod
-    def from_generators(cls, generators):
-        """The hierarchical closure of ``generators``, with response ``freq``."""
-        gens = []
-        for g in generators:
-            term = Term(g)
-            if not term:
-                raise FormulaError("empty generator")
-            gens.append(term)
-        return cls("freq", hierarchical_closure(gens))
-
 
 def _parse_term(text):
     text = text.strip()
@@ -170,4 +159,4 @@ def parse_generators(text):
         if len(set(names)) != len(names):
             raise FormulaError(f"repeated factor in generator {g!r}")
         gens.append(names)
-    return ModelFormula.from_generators(gens)
+    return ModelFormula("freq", hierarchical_closure(gens))

@@ -185,7 +185,6 @@ def parse_table(source, freq_column="freq"):
         raise TableError("no factor columns")
 
     rows = []
-    total = 0
     for lineno, ln in enumerate(lines[1:], start=2):
         toks = _split_row(ln)
         if len(toks) != len(header):
@@ -198,11 +197,8 @@ def parse_table(source, freq_column="freq"):
             raise TableError(f"line {lineno}: negative frequency {freq}")
         if freq > COUNT_MAX:
             raise TableError(f"line {lineno}: frequency {freq} exceeds the int64 range (max {COUNT_MAX})")
-        total += freq
         levels = tuple(t for i, t in enumerate(toks) if i != freq_pos)
         rows.append((levels, freq, lineno))
-    if total > COUNT_MAX:
-        raise TableError(f"total count {total} exceeds the int64 range (max {COUNT_MAX})")
 
     factors = tuple(
         FactorSpec(name, _levels_from_column(name, [r[0][k] for r in rows]))

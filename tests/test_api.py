@@ -1,6 +1,8 @@
-"""The public API: the package's exports, and the names the benchmark's tracer times."""
+"""The public API: the package's exports, its optional parameters, and the names the benchmark's tracer times."""
 
 import importlib
+import inspect
+import pkgutil
 
 import sparseloglin
 
@@ -30,6 +32,21 @@ PUBLIC = [
     "cbic",
     "__version__",
 ]
+
+# Every optional parameter of a public function or public method, by
+# module and name: the package's knobs.  A knob added or brought back is
+# a deliberate edit of this table.
+OPTIONAL = {
+    "cli.make_parser": ("err",),
+    "cli.main": ("argv", "out", "err"),
+    "faces.find_facial_set": ("design",),
+    "faces.per_cell_oracle": ("design",),
+    "fit.fit": ("facial_set", "design"),
+    "lp.solve": ("start",),
+    "report.build_report": ("fit_result", "oracle"),
+    "table.ContingencyTable.label_columns": ("convert",),
+    "table.parse_table": ("freq_column",),
+}
 
 # perfbench/tracing.py wraps only the functions a module lists in its
 # __all__; a function missing there would read 0 in its per-layer metric.
@@ -64,3 +81,25 @@ def test_traced_functions_stay_in_module_all():
         if attr not in mod.__all__ or not callable(getattr(mod, attr, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_optional_parameters_are_pinned():
+    found = {}
+    for info in pkgutil.iter_modules(sparseloglin.__path__):
+        mod = importlib.import_module(f"sparseloglin.{info.name}")
+        names = getattr(mod, "__all__", [n for n in vars(mod) if not n.startswith("_")])
+        for name in names:
+            obj = getattr(mod, name)
+            if inspect.isclass(obj):
+                methods = vars(obj).items()
+                funcs = [(f"{name}.{k}", v) for k, v in methods if not k.startswith("_") and inspect.isfunction(v)]
+            elif inspect.isfunction(obj) and obj.__module__ == mod.__name__:
+                funcs = [(name, obj)]
+            else:
+                continue
+            for qual, func in funcs:
+                params = inspect.signature(func).parameters.values()
+                optional = tuple(p.name for p in params if p.default is not p.empty)
+                if optional:
+                    found[f"{info.name}.{qual}"] = optional
+    assert found == OPTIONAL

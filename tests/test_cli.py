@@ -51,6 +51,7 @@ class TestReports:
         assert rep["iterations"] == 1
         assert rep["mle_exists"] is False
         assert rep["residual_df"] == 0
+        assert rep["converged"] is True
         assert rep["max_loglik"] == pytest.approx(-1.772691, abs=1e-5)
         assert f"max log-likelihood: {rep['max_loglik']:.6f}" in text_out
         assert f"bic: {rep['bic']:.6f}" in text_out
@@ -66,6 +67,7 @@ class TestReports:
         assert code == 0
         rep = json.loads(out)
         assert "max_loglik" not in rep
+        assert "converged" not in rep
         assert rep["face_dimension"] == 6
 
     def test_intercept_only_facial(self):

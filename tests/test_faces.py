@@ -60,7 +60,7 @@ def max_cell_mass(design, counts, cells):
     basis = None
     out = []
     for i in cells:
-        c = np.zeros(design.n_cells)
+        c = np.zeros(design.matrix.shape[0])
         c[i] = 1.0
         sol = solve(LinearProgram(c, xt, t_prime), start=basis)
         basis = sol.basis

@@ -18,7 +18,7 @@ from sparseloglin import (
 )
 
 from sparseloglin import datasets
-from sparseloglin.fit import CONVERGED, _newton
+from sparseloglin.fit import _newton
 
 from conftest import iter_instances, make_table, moment_residual, relabel
 
@@ -39,7 +39,7 @@ class TestHabermanFit:
         )
 
     def test_one_aliased_coefficient(self, haberman_fit):
-        assert len(haberman_fit.aliased_columns()) == 1
+        assert sum(c.aliased for c in haberman_fit.coefficients) == 1
         assert haberman_fit.face_dimension == 6
         assert haberman_fit.model_dimension == 7
 
@@ -101,7 +101,7 @@ class TestClosedForms:
         model = parse_generators("[ab][ac][bc]")
         fs = find_facial_set(haberman_table, model)
         res = fit(haberman_table, model, fs)
-        for coef in res.aliased_columns():
+        for coef in (c for c in res.coefficients if c.aliased):
             assert math.isnan(coef.estimate)
             assert math.isnan(coef.std_error)
 
@@ -110,9 +110,14 @@ class TestNewton:
     def test_simple_intercept_model(self):
         X = np.ones((4, 1))
         y = np.array([1.0, 2.0, 3.0, 2.0])
-        theta, status, _it, _gnorm = _newton(X, y, np.zeros(1), 1e-12, 1e-10, 100)
-        assert status == CONVERGED
+        theta, mu, _it = _newton(X, y, np.zeros(1), 1e-12)
         assert theta[0] == pytest.approx(np.log(2.0), abs=1e-12)
+        np.testing.assert_array_equal(mu, np.exp(X @ theta))
+
+    def test_no_improving_step_raises_stalled(self):
+        # a NaN objective admits no improving step
+        with pytest.raises(FitError, match=r"stalled after 1 iterations \(grad norm nan\)"):
+            _newton(np.ones((1, 1)), np.array([np.nan]), np.zeros(1), 1.0)
 
 
 class TestLoglikConventions:
@@ -177,18 +182,9 @@ class TestColumnSelectionInvariance:
 
 
 class TestExistenceSplit:
-    def test_unrestricted_fit_diverges_when_mle_missing(self, haberman_table):
-        model = parse_generators("[ab][ac][bc]")
-        res = fit(haberman_table, model, require_convergence=False)
-        assert not res.converged
-        coef = np.array([c.estimate for c in res.coefficients if not c.aliased])
-        assert np.max(np.abs(coef)) > 10
-        # some fitted means are driven toward zero
-        assert res.fitted_means.min() < 1e-3
-
     def test_unrestricted_divergence_raises_by_default(self, haberman_table):
         model = parse_generators("[ab][ac][bc]")
-        with pytest.raises(FitError, match="iteration cap|stalled"):
+        with pytest.raises(FitError, match=r"hit the 100-iteration cap after 100 iterations \(grad norm .*fit on the facial set"):
             fit(haberman_table, model)
 
     def test_unrestricted_fit_converges_when_mle_exists(self):
@@ -197,7 +193,6 @@ class TestExistenceSplit:
             if not mle_exists(fs):
                 continue
             res = fit(table, model)
-            assert res.converged
             assert res.fitted_means.min() > 1e-10
 
 
@@ -224,7 +219,6 @@ class TestMomentEquationsSweep:
         for table, model in iter_instances(60, seed=777):
             fs = find_facial_set(table, model)
             res = fit(table, model, fs)
-            assert res.converged
             assert moment_residual(table, build_design(table, model), fs.in_face, res) <= 1e-8 * table.total
             # fitted means strictly positive exactly on the face
             assert (res.fitted_means[fs.in_face] > 0).all()

@@ -90,7 +90,7 @@ class TestClosureProperties:
     @settings(deadline=None)
     def test_generators_reconstruct_terms(self, gens):
         model = ModelFormula("freq", hierarchical_closure(Term(g) for g in gens))
-        rebuilt = ModelFormula.from_generators(model.generators)
+        rebuilt = ModelFormula("freq", hierarchical_closure(model.generators))
         assert rebuilt.terms == model.terms
 
     def test_non_closed_term_set_rejected(self):
