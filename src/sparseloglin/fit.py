@@ -81,8 +81,9 @@ def _newton(X, y, theta0, grad_bound):
     path while the step stays O(1), so a gradient-only test would
     silently accept a diverging parameter vector.
 
-    Returns (theta, mu, n_iter), mu = exp(X theta) at the returned
-    theta.  Raises FitError when no damped step improves the objective
+    Returns (theta, mu, info, n_iter): mu = exp(X theta) at the returned
+    theta, and info = X' diag(mu) X, the observed information without
+    the ridge.  Raises FitError when no damped step improves the objective
     or NEWTON_ITER_CAP steps pass without convergence.
     """
     d = X.shape[1]
@@ -96,14 +97,15 @@ def _newton(X, y, theta0, grad_bound):
         grad = X.T @ (y - mu)
         gnorm = np.max(np.abs(grad))
 
-        H = X.T @ (X * mu.reshape(-1, 1))
+        info = X.T @ (X * mu.reshape(-1, 1))
         # tiny ridge keeps the solve well-posed when means collapse
-        lam = 1e-12 * max(np.trace(H) / d, 1.0)
+        lam = 1e-12 * max(np.trace(info) / d, 1.0)
+        H = info.copy()
         H[np.diag_indices(d)] += lam
         delta = np.linalg.solve(H, grad)
 
         if gnorm <= grad_bound and np.max(np.abs(delta)) <= 1e-8 * (1.0 + np.max(np.abs(theta))):
-            return theta, mu, it
+            return theta, mu, info, it
 
         step = 1.0
         f_floor = f - 1e-12 * (1.0 + abs(f))
@@ -202,13 +204,11 @@ def fit(table, model, facial_set=None, design=None):
     theta0 = np.zeros(len(kept))
     theta0[0] = math.log(total / n_face)
 
-    theta, mu, n_iter = _newton(x_star, nf, theta0, 1e-10 * max(1.0, float(total)))
+    theta, mu, info, n_iter = _newton(x_star, nf, theta0, 1e-10 * max(1.0, float(total)))
     fitted = np.zeros(n_cells)
     fitted[in_face] = mu
     fitted.flags.writeable = False
 
-    # observed information on the kept columns
-    info = x_star.T @ (x_star * mu.reshape(-1, 1))
     se = np.full(len(kept), np.nan)
     try:
         cov = np.linalg.inv(info)

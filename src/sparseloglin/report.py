@@ -7,11 +7,11 @@ carry identical numbers.
 ``render_json`` returns exactly the bytes of ``json.dumps(report,
 indent=2) + "\n"``.  With ``indent`` set, json always runs its
 pure-Python encoder (the C encoder only serves compact output), which
-visits about 20 nested objects per ``face`` row.  So each top-level
-value but ``face`` is still encoded by ``json.dumps``, while the face
-rows, whose shape ``build_report`` fixes, are written by one formatter
-with json's own string escaping, ``float.__repr__`` and the same
-indentation and separators.
+visits about 20 nested objects per ``face`` row.  So the ``face``,
+``presolved`` and ``span_closed`` rows, whose shapes ``build_report``
+fixes, are written by two formatters with json's own string escaping,
+``float.__repr__`` and the same indentation and separators; every
+other top-level value is still encoded by ``json.dumps``.
 """
 
 import json
@@ -177,10 +177,28 @@ def _face_json(rows):
     return "[\n" + ",\n".join(out) + "\n  ]"
 
 
+def _cells_json(rows):
+    """json.dumps(rows, indent=2) of build_report's presolved or span_closed rows, nested one level."""
+    if not rows:
+        return "[]"
+    enc = json.encoder.encode_basestring_ascii
+    out = []
+    for row in rows:
+        text = '    {\n      "cell": %d,\n      "levels": [\n        ' % row["cell"] + ",\n        ".join(map(enc, row["levels"]))
+        if "generator" in row:
+            text += '\n      ],\n      "generator": [\n        ' + ",\n        ".join(map(enc, row["generator"]))
+        out.append(text + "\n      ]\n    }")
+    return "[\n" + ",\n".join(out) + "\n  ]"
+
+
+_FORMATTERS = {"face": _face_json, "presolved": _cells_json, "span_closed": _cells_json}
+
+
 def render_json(report):
     """A report of build_report as ``json.dumps(report, indent=2) + "\\n"``, byte for byte."""
     items = []
     for key, value in report.items():
-        text = _face_json(value) if key == "face" else json.dumps(value, indent=2).replace("\n", "\n  ")
+        fmt = _FORMATTERS.get(key)
+        text = fmt(value) if fmt else json.dumps(value, indent=2).replace("\n", "\n  ")
         items.append(f"  {json.dumps(key)}: {text}")
     return "{\n" + ",\n".join(items) + "\n}\n"

@@ -162,21 +162,23 @@ def parse_table(source, freq_column="freq"):
 
     ``source`` is a string or an iterable of lines.  The header names
     the factor columns plus the frequency column; each data row names
-    one cell.  Cells absent from the input get count 0.  Duplicate
-    cells, ragged rows, frequencies that are negative or not ASCII
-    decimal integers, a frequency or total above COUNT_MAX, two numeric
-    labels of one factor with the same value, and more than
-    DENSE_BUDGET cells are errors.
+    one cell.  Blank lines and lines starting with ``#`` are skipped.
+    Cells absent from the input get count 0.  Duplicate cells, ragged
+    rows, frequencies that are negative or not ASCII decimal integers,
+    a frequency or total above COUNT_MAX, two numeric labels of one
+    factor with the same value, and more than DENSE_BUDGET cells are
+    errors.  A ``line N:`` in an error message is the physical line of
+    the input, counting skipped lines, from 1.
     """
     if isinstance(source, str):
         lines = source.splitlines()
     else:
         lines = [ln.rstrip("\n") for ln in source]
-    lines = [ln for ln in (ln.strip() for ln in lines) if ln and not ln.startswith("#")]
+    lines = [(no, ln) for no, ln in enumerate(map(str.strip, lines), start=1) if ln and not ln.startswith("#")]
     if not lines:
         raise TableError("empty input")
 
-    header = _split_row(lines[0])
+    header = _split_row(lines[0][1])
     if header.count(freq_column) != 1:
         raise TableError(f"frequency column {freq_column!r} must appear once in header {header}")
     freq_pos = header.index(freq_column)
@@ -184,12 +186,12 @@ def parse_table(source, freq_column="freq"):
     if not factor_names:
         raise TableError("no factor columns")
 
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    rows, freqs = [], []
+    for lineno, ln in lines[1:]:
         toks = _split_row(ln)
         if len(toks) != len(header):
             raise TableError(f"line {lineno}: expected {len(header)} fields, got {len(toks)}")
-        freq_tok = toks[freq_pos]
+        freq_tok = toks.pop(freq_pos)
         if not _FREQUENCY.fullmatch(freq_tok):
             raise TableError(f"line {lineno}: non-integer frequency {freq_tok!r}")
         freq = int(freq_tok)
@@ -197,27 +199,24 @@ def parse_table(source, freq_column="freq"):
             raise TableError(f"line {lineno}: negative frequency {freq}")
         if freq > COUNT_MAX:
             raise TableError(f"line {lineno}: frequency {freq} exceeds the int64 range (max {COUNT_MAX})")
-        levels = tuple(t for i, t in enumerate(toks) if i != freq_pos)
-        rows.append((levels, freq, lineno))
+        rows.append(toks)
+        freqs.append(freq)
 
-    factors = tuple(
-        FactorSpec(name, _levels_from_column(name, [r[0][k] for r in rows]))
-        for k, name in enumerate(factor_names)
-    )
-    level_pos = [{lab: i for i, lab in enumerate(f.levels)} for f in factors]
+    columns = list(zip(*rows)) or [()] * len(factor_names)
+    factors = tuple(FactorSpec(name, _levels_from_column(name, col)) for name, col in zip(factor_names, columns))
 
     shape = tuple(f.n_levels for f in factors)
     n_cells = math.prod(shape)
     if n_cells > DENSE_BUDGET:
         raise TableError(f"table has {n_cells} cells, more than the budget of {DENSE_BUDGET}")
+    level_pos = [{lab: i for i, lab in enumerate(f.levels)} for f in factors]
+    flat = np.ravel_multi_index([list(map(pos.__getitem__, col)) for pos, col in zip(level_pos, columns)], shape)
+    cells, first = np.unique(flat, return_index=True)
+    if cells.size < flat.size:
+        repeat = np.ones(flat.size, dtype=bool)
+        repeat[first] = False
+        i = int(np.argmax(repeat))  # the first row whose cell came before
+        raise TableError(f"line {lines[i + 1][0]}: duplicate cell {tuple(rows[i])}")
     counts = np.zeros(n_cells, dtype=np.int64)
-    seen = np.zeros(counts.shape, dtype=bool)
-    for levels, freq, lineno in rows:
-        coords = tuple(level_pos[k][lab] for k, lab in enumerate(levels))
-        flat = int(np.ravel_multi_index(coords, shape))
-        if seen[flat]:
-            raise TableError(f"line {lineno}: duplicate cell {levels}")
-        seen[flat] = True
-        counts[flat] = freq
-
+    counts[flat] = freqs
     return ContingencyTable(factors, counts)

@@ -252,6 +252,15 @@ class TestExitCodes:
         assert out == ""
         assert "line 3: non-integer frequency '３'" in err
 
+    def test_data_error_names_the_physical_line(self, tmp_path):
+        # blank and comment lines count: the bad row is line 7 of the file
+        path = tmp_path / "t.csv"
+        path.write_text("# c\n\na,b,freq\n\n0,0,1\n# x\n1,1,-1\n")
+        code, out, err = run_cli("--data", str(path), "--formula", "[a][b]")
+        assert code == cli.EXIT_DATA
+        assert out == ""
+        assert err == "error: line 7: negative frequency -1\n"
+
     def test_levels_of_one_number_are_data_error(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,freq\n0,1\n0.0,2\n1,3\n")

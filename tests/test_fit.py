@@ -21,6 +21,8 @@ from sparseloglin import datasets
 from sparseloglin.fit import _newton
 
 from conftest import iter_instances, make_table, moment_residual, relabel
+from test_faces import PAPER_MODELS
+from test_report import dense_table, two_way
 
 
 @pytest.fixture(scope="module")
@@ -110,14 +112,35 @@ class TestNewton:
     def test_simple_intercept_model(self):
         X = np.ones((4, 1))
         y = np.array([1.0, 2.0, 3.0, 2.0])
-        theta, mu, _it = _newton(X, y, np.zeros(1), 1e-12)
+        theta, mu, info, _it = _newton(X, y, np.zeros(1), 1e-12)
         assert theta[0] == pytest.approx(np.log(2.0), abs=1e-12)
         np.testing.assert_array_equal(mu, np.exp(X @ theta))
+        np.testing.assert_array_equal(info, X.T @ (X * mu.reshape(-1, 1)))  # no ridge
 
     def test_no_improving_step_raises_stalled(self):
         # a NaN objective admits no improving step
         with pytest.raises(FitError, match=r"stalled after 1 iterations \(grad norm nan\)"):
             _newton(np.ones((1, 1)), np.array([np.nan]), np.zeros(1), 1.0)
+
+
+class TestStandardErrors:
+    @pytest.mark.parametrize("case", [*(("rochdale", g) for g in PAPER_MODELS), ("dense 2^10", two_way(10))])
+    def test_bits_equal_information_formed_after_the_fit(self, case):
+        # fit takes the information from Newton's last iteration; it
+        # must keep every bit of x*' diag(mu) x* formed anew at the fit
+        name, gens = case
+        table = datasets.rochdale() if name == "rochdale" else dense_table(10)
+        model = parse_generators(gens)
+        design = build_design(table, model)
+        fs = find_facial_set(table, model, design=design)
+        res = fit(table, model, fs, design=design)
+        kept = res.estimable_columns
+        xf = design.matrix if fs.in_face.all() else design.matrix[fs.in_face]
+        x_star = xf if kept == tuple(range(design.d)) else np.ascontiguousarray(xf[:, kept])
+        mu = res.fitted_means[fs.in_face]
+        want = np.sqrt(np.diag(np.linalg.inv(x_star.T @ (x_star * mu.reshape(-1, 1)))))
+        got = np.array([res.coefficients[j].std_error for j in kept])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLoglikConventions:

@@ -1,6 +1,7 @@
 """The report's dict, its JSON bytes and its text against per-cell references."""
 
 import dataclasses
+import io
 import json
 import math
 
@@ -17,6 +18,7 @@ from sparseloglin import (
     parse_table,
     per_cell_oracle,
 )
+from sparseloglin import cli
 from sparseloglin.datasets import example3x3x3, haberman, rochdale
 from sparseloglin.report import build_report, render_json, render_text
 
@@ -140,8 +142,35 @@ class TestRenderJson:
         for escaped in (r'"say \"hi\""', r'"back\\slash"', r'"tab\there"', r'"\u00e9"', r'"\u65e5\u672c"', r'"new\nline"'):
             assert escaped in text
         assert text.isascii()
-        assert report["presolved"]  # the labels pass through json.dumps there as well
+        assert report["presolved"]
         assert json.loads(text) == report
+
+    def test_cell_lists_with_escaped_and_non_ascii_labels(self):
+        # rochdale's counts under labels json must escape or that are not ASCII
+        specials = [('say "hi"', "\u00e9"), ("back\\slash", "\u65e5\u672c"), ("new\nline", "tab\there")]
+        table = rochdale()
+        factors = tuple(FactorSpec(f.name, specials[k % 3]) for k, f in enumerate(table.factors))
+        report, _, _ = analyse(ContingencyTable(factors, table.counts), PAPER_MODELS[0])
+        assert len(report["presolved"]) == 60 and len(report["span_closed"]) == 105
+        text = render_json(report)
+        assert text == json_reference(report)
+        span_closed = text[text.index('"span_closed"') : text.index('"factors"')]
+        assert r'"say \"hi\""' in span_closed and r'"\u65e5\u672c"' in span_closed and r'"new\nline"' in span_closed
+
+    def test_empty_cell_lists(self):
+        report, fs, _ = analyse(dense_table(4), two_way(4))
+        assert fs.presolved == () and fs.span_closed == ()
+        text = render_json(report)
+        assert text == json_reference(report)
+        assert '\n  "presolved": [],\n  "span_closed": [],\n' in text
+
+    def test_facial_only_cli_output(self):
+        out, err = io.StringIO(), io.StringIO()
+        args = ["--dataset", "rochdale", "--formula", PAPER_MODELS[0], "--facial-only", "--format", "json"]
+        assert cli.main(args, out=out, err=err) == 0, err.getvalue()
+        report = json.loads(out.getvalue())
+        assert "max_loglik" not in report and report["presolved"] and report["span_closed"]
+        assert out.getvalue() == json_reference(report)
 
 
 class TestBuildReport:

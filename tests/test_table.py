@@ -1,11 +1,131 @@
+import io
+import math
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseloglin import ContingencyTable, TableError, parse_table
+from sparseloglin import ContingencyTable, FactorSpec, TableError, parse_table
+from sparseloglin.table import COUNT_MAX, DENSE_BUDGET, _FREQUENCY, _levels_from_column, _split_row
 
 from conftest import make_table, table_csv
+
+
+def parse_table_reference(text, freq_column="freq"):
+    """parse_table one row at a time: one ravel_multi_index and one seen-check per row.
+
+    Line numbers are physical, counting blank and comment lines.
+    """
+    numbered = enumerate((ln.strip() for ln in text.splitlines()), start=1)
+    lines = [(no, ln) for no, ln in numbered if ln and not ln.startswith("#")]
+    if not lines:
+        raise TableError("empty input")
+    header = _split_row(lines[0][1])
+    if header.count(freq_column) != 1:
+        raise TableError(f"frequency column {freq_column!r} must appear once in header {header}")
+    freq_pos = header.index(freq_column)
+    factor_names = [h for h in header if h != freq_column]
+    if not factor_names:
+        raise TableError("no factor columns")
+
+    rows = []
+    for lineno, ln in lines[1:]:
+        toks = _split_row(ln)
+        if len(toks) != len(header):
+            raise TableError(f"line {lineno}: expected {len(header)} fields, got {len(toks)}")
+        freq_tok = toks[freq_pos]
+        if not _FREQUENCY.fullmatch(freq_tok):
+            raise TableError(f"line {lineno}: non-integer frequency {freq_tok!r}")
+        freq = int(freq_tok)
+        if freq < 0:
+            raise TableError(f"line {lineno}: negative frequency {freq}")
+        if freq > COUNT_MAX:
+            raise TableError(f"line {lineno}: frequency {freq} exceeds the int64 range (max {COUNT_MAX})")
+        levels = tuple(t for i, t in enumerate(toks) if i != freq_pos)
+        rows.append((levels, freq, lineno))
+
+    factors = tuple(
+        FactorSpec(name, _levels_from_column(name, [r[0][k] for r in rows]))
+        for k, name in enumerate(factor_names)
+    )
+    level_pos = [{lab: i for i, lab in enumerate(f.levels)} for f in factors]
+    shape = tuple(f.n_levels for f in factors)
+    n_cells = math.prod(shape)
+    if n_cells > DENSE_BUDGET:
+        raise TableError(f"table has {n_cells} cells, more than the budget of {DENSE_BUDGET}")
+    counts = np.zeros(n_cells, dtype=np.int64)
+    seen = np.zeros(counts.shape, dtype=bool)
+    for levels, freq, lineno in rows:
+        coords = tuple(level_pos[k][lab] for k, lab in enumerate(levels))
+        flat = int(np.ravel_multi_index(coords, shape))
+        if seen[flat]:
+            raise TableError(f"line {lineno}: duplicate cell {levels}")
+        seen[flat] = True
+        counts[flat] = freq
+    return ContingencyTable(factors, counts)
+
+
+def scrambled_csv(table, rng):
+    """The table's rows shuffled, some zero rows dropped, blank and comment lines between them."""
+    lines = table_csv(table).splitlines()
+    body = [ln for ln in lines[1:] if not ln.endswith(",0") or rng.random() < 0.5]
+    rng.shuffle(body)
+    out = ["# scrambled", "", lines[0]]
+    for ln in body:
+        out.extend(rng.choice(["", "  ", "# note", "\t# indented note"], size=rng.integers(0, 2)).tolist())
+        out.append(ln)
+    return "\n".join(out) + "\n"
+
+
+def outcome(parse, text):
+    """("table", factors, counts) or ("error", message) of one parse."""
+    try:
+        table = parse(text)
+    except TableError as exc:
+        return "error", str(exc)
+    return "table", table.factors, table.counts.tolist()
+
+
+# Inputs parse_table rejects, each with blank and comment lines before
+# the faulty row, and the physical line the message names (None: the
+# message names no line).
+BAD_INPUTS = [
+    pytest.param("# c\n\na,b,freq\n\n0,0,1\n# x\n1,1\n", "line 7: expected 3 fields, got 2", id="ragged"),
+    pytest.param("# c\n\na,b,freq\n\n0,0,1\n# x\n1,1,1.5\n", "line 7: non-integer frequency '1.5'", id="non-integer"),
+    pytest.param("# c\n\na,b,freq\n\n0,0,1\n# x\n1,1,\uff13\n", "line 7: non-integer frequency '\uff13'", id="non-ascii"),
+    pytest.param("# c\n\na,b,freq\n\n0,0,1\n# x\n1,1,-1\n", "line 7: negative frequency -1", id="negative"),
+    pytest.param(
+        "# c\n\na,b,freq\n\n0,0,1\n# x\n1,1,99999999999999999999\n",
+        "line 7: frequency 99999999999999999999 exceeds the int64 range",
+        id="beyond-int64",
+    ),
+    pytest.param("# c\n\na,b,freq\n\n0,0,1\n# x\n1,1,1\n\n0,0,2\n", "line 9: duplicate cell ('0', '0')", id="duplicate"),
+    # the first row whose cell came before, not the repeat of the first cell in cell order
+    pytest.param(
+        "a b freq\n1 1 1\n# x\n0 0 1\n0 1 1\n\n1 1 2\n0 0 2\n0 0 3\n",
+        "line 7: duplicate cell ('1', '1')",
+        id="first-repeat",
+    ),
+    pytest.param("# c\n\n  \n# d\n", "empty input", id="empty"),
+    pytest.param("# c\na,freq,freq\n0,1,2\n1,3,4\n", "frequency column 'freq' must appear once", id="freq-twice"),
+    pytest.param("\nfreq\n1\n2\n", "no factor columns", id="no-factors"),
+    pytest.param("# c\na,b,freq\n\n0,0,1\n0,1,1\n", "factor 'a' needs >= 2 levels, got 1", id="one-level"),
+    pytest.param("a,b,freq\n", "factor 'a' needs >= 2 levels, got 0", id="no-rows"),
+    pytest.param("a,freq\n0,1\n\n0.0,2\n1,3\n", "factor 'a': levels '0' and '0.0' are the same number", id="same-number"),
+    pytest.param(
+        "a,b,freq\n# c\n0,0,9223372036854775807\n1,1,2\n",
+        "total count 9223372036854775809 exceeds the int64 range",
+        id="total",
+    ),
+    pytest.param(
+        ",".join([f"f{i}" for i in range(25)] + ["freq"]) + "\n" + ",".join(["0"] * 25 + ["1"]) + "\n"
+        + ",".join(["1"] * 25 + ["2"]) + "\n",
+        f"table has {2**25} cells, more than the budget of {DENSE_BUDGET}",
+        id="over-budget",
+    ),
+]
 
 
 class TestParse:
@@ -66,6 +186,16 @@ class TestParse:
         with pytest.raises(TableError, match="fields"):
             parse_table("a b freq\n0 0\n")
 
+    @pytest.mark.parametrize("text, message", BAD_INPUTS)
+    def test_errors_name_the_physical_line(self, text, message):
+        with pytest.raises(TableError) as exc:
+            parse_table(text)
+        assert str(exc.value).startswith(message)
+        # lines read from a file number the same way
+        with pytest.raises(TableError) as from_lines:
+            parse_table(io.StringIO(text))
+        assert str(from_lines.value) == str(exc.value)
+
     def test_levels_first_appearance_order_for_text_labels(self):
         text = "x y freq\nhigh u 1\nlow u 2\nhigh v 3\nlow v 4\n"
         table = parse_table(text)
@@ -105,6 +235,43 @@ class TestRoundTrip:
     def test_haberman_roundtrip(self, haberman_table):
         back = parse_table(table_csv(haberman_table))
         assert np.array_equal(back.counts, haberman_table.counts)
+
+
+class TestRowLoopReference:
+    """The column-wise parse_table against the row loop it replaced."""
+
+    def test_seeded_tables_equal_reference(self):
+        rng = np.random.default_rng(20261019)
+        parsed = 0
+        for _ in range(60):
+            shape = tuple(rng.integers(2, 5, size=rng.integers(1, 5)))
+            counts = np.where(rng.random(math.prod(shape)) < 0.4, 0, rng.poisson(3.0, math.prod(shape)) + 1)
+            labels = [rng.permutation([f"{name}{v}" for v in range(n)]).tolist() for name, n in zip("pqrs", shape)]
+            # numeric levels for even factors, text levels in a shuffled order for odd ones
+            factors = tuple(
+                FactorSpec("abcd"[k], tuple(str(v) for v in range(n)) if k % 2 == 0 else tuple(labels[k]))
+                for k, n in enumerate(shape)
+            )
+            text = scrambled_csv(ContingencyTable(factors, counts), rng)
+            want = outcome(parse_table_reference, text)
+            assert outcome(parse_table, text) == want
+            parsed += want[0] == "table"
+        assert parsed >= 50  # a dropped zero row rarely takes a factor's last row of a level
+
+    def test_rochdale_equals_reference(self):
+        text = resources.files("sparseloglin.data").joinpath("rochdale.csv").read_text()
+        got, want = parse_table(text), parse_table_reference(text)
+        assert got.factors == want.factors
+        assert np.array_equal(got.counts, want.counts)
+        assert got.total == 665
+
+    @pytest.mark.parametrize("text, message", BAD_INPUTS)
+    def test_same_error_as_reference(self, text, message):
+        with pytest.raises(TableError) as want:
+            parse_table_reference(text)
+        with pytest.raises(TableError) as got:
+            parse_table(text)
+        assert str(got.value) == str(want.value)
 
 
 class TestCountRange:
