@@ -5,7 +5,9 @@ non-baseline levels of its factors; the intercept column of ones comes
 first.  Interaction columns are elementwise products of the constituent
 main-effect indicators, so every entry is 0 or 1 and every cell's row
 is a binary vector.  For a hierarchical model this coding always has
-full column rank, which ``matrix_rank`` verifies at construction.
+full column rank.  A ``DesignMatrix`` checks it with ``matrix_rank`` at
+construction, so no design without it exists and the rows of every
+cell together need no second rank computation.
 """
 
 import math
@@ -93,11 +95,12 @@ class ColumnLabel:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Full-column-rank 0/1 design matrix with labeled columns.
+    """0/1 design matrix with labeled columns, of full column rank.
 
     Row i is the binary vector of cell i in canonical cell order;
     column 0 is the intercept.  The matrix is kept as a read-only view;
-    a C-contiguous float64 matrix is not copied.
+    a C-contiguous float64 matrix is not copied.  Full column rank is
+    checked at construction: a matrix of lower rank raises ValueError.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -107,11 +110,40 @@ class DesignMatrix:
         m = np.ascontiguousarray(self.matrix, dtype=np.float64).view()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        rank = matrix_rank(m).rank
+        if rank != self.d:
+            raise ValueError(
+                f"design matrix is rank deficient (rank {rank} < {self.d} columns); "
+                "baseline coding of a hierarchical model should be full rank"
+            )
 
     @property
     def d(self):
         """Number of free log-linear parameters."""
         return self.matrix.shape[1]
+
+    def rows_rank(self, mask):
+        """``matrix_rank`` of the rows where the boolean ``mask`` is true.
+
+        Every row together has full column rank, so an all-true mask
+        gives Rank(d, all columns) with no QR.
+        """
+        if mask.all():
+            return Rank(self.d, tuple(range(self.d)), np.zeros((self.d, 0)))
+        return matrix_rank(self.matrix[mask])
+
+
+def design_for(table, model, design):
+    """The model's design on the table, or ``design`` checked against it.
+
+    A passed design must have one row per cell of the table; one built
+    for another table raises ValueError.
+    """
+    if design is None:
+        return build_design(table, model)
+    if design.matrix.shape[0] != table.n_cells:
+        raise ValueError(f"design has {design.matrix.shape[0]} rows but the table has {table.n_cells} cells")
+    return design
 
 
 def build_design(table, model):
@@ -121,7 +153,8 @@ def build_design(table, model):
     (size, then name), then within a term the non-baseline level
     combinations in lexicographic order with the term's last factor
     varying fastest.  A design of more than DENSE_BUDGET entries
-    raises ValueError before anything is allocated.
+    raises ValueError before anything is allocated; ``DesignMatrix``
+    checks the full column rank.
     """
     factor_pos = {name: k for k, name in enumerate(table.factor_names)}
     missing = model.factors - set(factor_pos)
@@ -173,11 +206,4 @@ def build_design(table, model):
                 )
             )
 
-    X = np.column_stack(columns)
-    rank = matrix_rank(X).rank
-    if rank != d:
-        raise ValueError(
-            f"design matrix is rank deficient (rank {rank} < {d} columns); "
-            "baseline coding of a hierarchical model should be full rank"
-        )
-    return DesignMatrix(X, tuple(labels))
+    return DesignMatrix(np.column_stack(columns), tuple(labels))

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .design import build_design, matrix_rank
+from .design import design_for
 from .table import TableError
 
 __all__ = ["FacialSet", "find_facial_set", "per_cell_oracle", "mle_exists"]
@@ -138,22 +138,24 @@ def find_facial_set(table, model, design=None):
     presolved off the face; their LP columns stay, with objective 0,
     so every LP keeps the constraints X'a = t' and each starts from the
     previous LP's optimal basis.  The known face cells K start as the
-    positive cells.  Each round takes one ``matrix_rank`` of X_K and
+    positive cells.  Each round takes the rank of X_K
+    (``DesignMatrix.rows_rank``, no QR once K holds every cell) and
     moves every remaining candidate whose row lies in span(X_K) into
     the face (F = C ∩ span(F)); these cells add no rank.  If candidates
     remain, one LP maximizes the mass on them: cells whose LP value
     exceeds lp.SUPPORT_TOL join K and the next round begins, and an
     optimum of at most lp.SUPPORT_TOL ends the loop.
 
-    The face dimension is the last round's rank.  ``iterations`` counts
+    The face dimension is the last round's rank: d when every cell is
+    on the face, as the design has full column rank.  ``iterations`` counts
     the LPs; ``removed_per_iteration`` lists the closure and LP batches
     in the order they entered.  The face is unique, so the result does
     not depend on the order of the LP's variables or on how the design
-    is coded.
+    is coded.  A passed ``design`` with a row count other than the
+    table's cell count raises ValueError.
     """
     _check_table(table)
-    if design is None:
-        design = build_design(table, model)
+    design = design_for(table, model, design)
 
     presolved, off_face = _presolve(table, model)
     known = table.counts > 0  # K
@@ -171,7 +173,7 @@ def find_facial_set(table, model, design=None):
         termination = "all_cells_in_face"
 
     while True:
-        rank = matrix_rank(design.matrix if known.all() else design.matrix[known])
+        rank = design.rows_rank(known)
         cells = np.flatnonzero(active)
         if cells.size and rank.rank < design.d:  # else every candidate is in the span
             x = design.matrix[cells]
@@ -218,11 +220,11 @@ def per_cell_oracle(table, model, design=None):
     exceeds lp.SUPPORT_TOL.  Presolved cells (see ``find_facial_set``)
     are off the face by their zero margin and get no LP.  Quadratic in
     the number of remaining zero cells, with no state shared across
-    cells but the warm-start basis.
+    cells but the warm-start basis.  A mismatched ``design`` raises
+    ValueError, as in ``find_facial_set``.
     """
     _check_table(table)
-    if design is None:
-        design = build_design(table, model)
+    design = design_for(table, model, design)
     n_cells = table.n_cells
     t_prime = _binarized_statistic(table, design)
     xt = np.ascontiguousarray(design.matrix.T)
@@ -239,9 +241,7 @@ def per_cell_oracle(table, model, design=None):
         if sol.objective_value > lp.SUPPORT_TOL:
             in_face[i] = True
 
-    return FacialSet(
-        in_face, matrix_rank(design.matrix[in_face]).rank, int(zeros.size), "per_cell", (), presolved
-    )
+    return FacialSet(in_face, design.rows_rank(in_face).rank, int(zeros.size), "per_cell", (), presolved)
 
 
 def mle_exists(facial_set):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .design import build_design, matrix_rank
+from .design import design_for
 
 __all__ = [
     "Coefficient",
@@ -170,17 +170,18 @@ def fit(table, model, facial_set=None, design=None):
     With ``facial_set=None`` the model is fit on all cells (the
     ordinary MLE attempt).  The estimated columns are the greedy,
     in-order independent columns of the face rows (see
-    ``design.matrix_rank``); the fitted means do not depend on that
-    choice, only the parametrization does.  Newton converges once
+    ``DesignMatrix.rows_rank``): every column, with no rank computed,
+    when the face holds every cell.  The fitted means do not depend on
+    that choice, only the parametrization does.  Newton converges once
     max|gradient| <= 1e-10 max(1, N) and max|step| <= 1e-8 (1 + max|theta|);
     when it stalls or spends NEWTON_ITER_CAP iterations first, as a fit
     on all cells does when the MLE does not exist, ``fit`` raises
-    FitError and returns no partial fit.
+    FitError and returns no partial fit.  A passed ``design`` must have
+    one row per cell of the table, else ValueError.
     """
     if table.total == 0:
         raise FitError("all-zero table")
-    if design is None:
-        design = build_design(table, model)
+    design = design_for(table, model, design)
     n_cells = table.n_cells
 
     if facial_set is None:
@@ -196,7 +197,7 @@ def fit(table, model, facial_set=None, design=None):
     n_face = int(in_face.sum())
     total = table.total
     d = design.d
-    rank = matrix_rank(xf)
+    rank = design.rows_rank(in_face)
     d_face, kept = rank.rank, rank.columns
 
     x_star = xf if kept == tuple(range(d)) else np.ascontiguousarray(xf[:, kept])

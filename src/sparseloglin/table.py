@@ -7,6 +7,7 @@ contract for all row indexing downstream (design matrices, facial
 sets, reports).
 """
 
+import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -168,12 +169,12 @@ def parse_table(source, freq_column="freq"):
     a frequency or total above COUNT_MAX, two numeric labels of one
     factor with the same value, and more than DENSE_BUDGET cells are
     errors.  A ``line N:`` in an error message is the physical line of
-    the input, counting skipped lines, from 1.
+    the input, counting skipped lines, from 1; a string is split into
+    lines as a text-mode file is, at LF, CR LF or CR only.
     """
     if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
+        source = io.StringIO(source, newline=None)
+    lines = [ln.rstrip("\n") for ln in source]
     lines = [(no, ln) for no, ln in enumerate(map(str.strip, lines), start=1) if ln and not ln.startswith("#")]
     if not lines:
         raise TableError("empty input")

@@ -1,7 +1,9 @@
-"""The public API: the package's exports, its optional parameters, and the names the benchmark's tracer times."""
+"""The public API: the package's exports, its optional parameters, the names the benchmark's tracer times, and its imports."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import sparseloglin
@@ -103,3 +105,36 @@ def test_optional_parameters_are_pinned():
                 if optional:
                     found[f"{info.name}.{qual}"] = optional
     assert found == OPTIONAL
+
+
+def unused_imports(source):
+    """Names a module imports but neither uses nor lists in its ``__all__``."""
+    tree = ast.parse(source)
+    imported = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used | exported)
+
+
+def test_no_unused_imports():
+    # stands in for a linter's unused-import rule
+    found = {}
+    for path in sorted(pathlib.Path(sparseloglin.__file__).parent.glob("*.py")):
+        unused = unused_imports(path.read_text())
+        if unused:
+            found[path.name] = unused
+    assert found == {}
+
+
+def test_unused_import_detected():
+    source = "from .design import build_design, matrix_rank\n__all__ = ['f']\ndef f(t, m):\n    return build_design(t, m)\n"
+    assert unused_imports(source) == ["line 1: matrix_rank"]

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,10 +10,12 @@ from sparseloglin import (
     FactorSpec,
     build_design,
     find_facial_set,
+    fit,
     parse_formula,
     parse_generators,
+    per_cell_oracle,
 )
-from sparseloglin.datasets import rochdale
+from sparseloglin.datasets import example3x3x3, haberman, rochdale
 from sparseloglin.design import Rank, matrix_rank
 
 from conftest import iter_instances, make_table, margin, three_way_instance
@@ -242,3 +245,57 @@ class TestImmutability:
         for matrix in (design.matrix, haberman_design.matrix):
             with pytest.raises(ValueError, match="read-only"):
                 matrix[0, 0] = 1
+
+
+class TestFullColumnRank:
+    """A DesignMatrix has full column rank, so all its rows need no second rank."""
+
+    def test_rank_deficient_matrix_rejected(self):
+        m = np.column_stack([np.ones(4), np.arange(4.0), np.arange(4.0)])
+        with pytest.raises(ValueError, match=r"rank deficient \(rank 2 < 3 columns\)"):
+            DesignMatrix(m, ("(Intercept)", "x", "x again"))
+
+    def test_all_rows_rank_is_matrix_rank(self):
+        rng = np.random.default_rng(20)
+        dense, model = all_two_way_binary(10)
+        dense = ContingencyTable(dense.factors, rng.poisson(3.0, dense.n_cells) + 1)
+        cases = [
+            (haberman(), parse_formula("freq ~ a*b + a*c + b*c")),
+            (example3x3x3(), parse_generators("[ab][ac][bc]")),
+            *((rochdale(), parse_generators(g)) for g in dict.fromkeys(g for g, _ in CBIC_ROWS + BIC_ROWS)),
+            (dense, model),
+        ]
+        for table, model in cases:
+            design = build_design(table, model)
+            got = design.rows_rank(np.ones(table.n_cells, dtype=bool))
+            assert got == matrix_rank(design.matrix) == Rank(design.d, tuple(range(design.d)))
+            assert got.aliasing.shape == (design.d, 0)
+
+    def test_dense_analysis_computes_one_rank(self, monkeypatch):
+        # the design's own check; the face and the fit hold every cell.
+        # Every binding of matrix_rank in the package is counted.
+        calls = []
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return matrix_rank(a)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "sparseloglin" and getattr(module, "matrix_rank", None) is matrix_rank:
+                monkeypatch.setattr(module, "matrix_rank", counted)
+        table, model = all_two_way_binary(10)
+        table = ContingencyTable(table.factors, np.random.default_rng(21).poisson(3.0, table.n_cells) + 1)
+        design = build_design(table, model)
+        fs = find_facial_set(table, model, design=design)
+        result = fit(table, model, fs, design=design)
+        assert (fs.face_dimension, result.face_dimension, result.estimable_columns) == (56, 56, tuple(range(56)))
+        assert calls == [(1024, 56)]
+
+    @pytest.mark.parametrize("counts", [np.arange(1, 9), np.array([0, 1, 2, 3, 4, 5, 6, 0])], ids=["dense", "zeros"])
+    def test_design_of_another_table_rejected(self, counts):
+        table = make_table((2, 2, 2), counts)
+        model = parse_generators("[ab][ac][bc]")
+        other = build_design(rochdale(), parse_generators("[ab][ac][bc]"))
+        for call in (find_facial_set, per_cell_oracle, fit):
+            with pytest.raises(ValueError, match="^design has 256 rows but the table has 8 cells$"):
+                call(table, model, design=other)

@@ -18,7 +18,7 @@ def parse_table_reference(text, freq_column="freq"):
 
     Line numbers are physical, counting blank and comment lines.
     """
-    numbered = enumerate((ln.strip() for ln in text.splitlines()), start=1)
+    numbered = enumerate((ln.strip() for ln in io.StringIO(text, newline=None)), start=1)
     lines = [(no, ln) for no, ln in numbered if ln and not ln.startswith("#")]
     if not lines:
         raise TableError("empty input")
@@ -108,6 +108,11 @@ BAD_INPUTS = [
         "line 7: duplicate cell ('1', '1')",
         id="first-repeat",
     ),
+    # only newlines end a line; str.splitlines would also split at these
+    *(
+        pytest.param(f"# c\n\na,b,freq\n\n0,0,1{sep}\n# x\n1,1,-1\n", "line 7: negative frequency -1", id=name)
+        for sep, name in [("\x0c", "form-feed"), ("\x85", "next-line"), ("\u2028", "line-separator")]
+    ),
     pytest.param("# c\n\n  \n# d\n", "empty input", id="empty"),
     pytest.param("# c\na,freq,freq\n0,1,2\n1,3,4\n", "frequency column 'freq' must appear once", id="freq-twice"),
     pytest.param("\nfreq\n1\n2\n", "no factor columns", id="no-factors"),
@@ -195,6 +200,13 @@ class TestParse:
         with pytest.raises(TableError) as from_lines:
             parse_table(io.StringIO(text))
         assert str(from_lines.value) == str(exc.value)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_line_endings(self, eol):
+        table = parse_table(eol.join(["a,freq", "0,1", "1,2", ""]))
+        assert table.counts.tolist() == [1, 2]
+        with pytest.raises(TableError, match="^line 3: negative frequency -1$"):
+            parse_table(eol.join(["a,freq", "0,1", "1,-1", ""]))
 
     def test_levels_first_appearance_order_for_text_labels(self):
         text = "x y freq\nhigh u 1\nlow u 2\nhigh v 3\nlow v 4\n"
