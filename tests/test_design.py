@@ -105,6 +105,18 @@ class TestBudget:
         assert design.d == 1
         assert peak < 64 * 2**20
 
+    def test_design_is_built_in_place(self):
+        # the columns are written into the one (n_cells, d) matrix; a list of
+        # columns stacked at the end peaked at 2.9 times the design
+        table, model = all_two_way_binary(12)
+        tracemalloc.start()
+        try:
+            design = build_design(table, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * design.matrix.nbytes
+
 
 def gram_schmidt_reference(a):
     """Greedy independent columns by twice-orthogonalized Gram-Schmidt on a.
@@ -140,6 +152,13 @@ def designs_and_faces(cases):
         fs = find_facial_set(table, model, design=design)
         yield design.matrix
         yield design.matrix[fs.in_face]
+
+
+def three_way_2x10_face():
+    """Face rows of three-way 2^10 at p0 0.92, seed 0: 896 x 176 of rank 175."""
+    table, model = three_way_instance(0, k=10, p0=0.92)
+    design = build_design(table, model)
+    return design.matrix[find_facial_set(table, model, design=design).in_face]
 
 
 class TestMatrixRank:
@@ -197,6 +216,50 @@ class TestMatrixRank:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty_matrix(self, shape):
         assert matrix_rank(np.zeros(shape)) == Rank(0, ())
+
+    def test_full_rank_takes_no_qr(self, monkeypatch):
+        # the Cholesky factor of a'a certifies every column of these
+        def no_qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        cases = [(rochdale(), parse_generators(gens)) for gens in dict.fromkeys(g for g, _ in CBIC_ROWS + BIC_ROWS)]
+        cases += [(example3x3x3(), parse_generators("[ab][ac][bc]")), all_two_way_binary(10)]
+        for table, model in cases:
+            a = build_design(table, model).matrix
+            got = matrix_rank(a)
+            assert got == Rank(a.shape[1], tuple(range(a.shape[1])))
+            assert got.aliasing.shape == (a.shape[1], 0)
+
+    @pytest.mark.parametrize(
+        "make_a, rank",
+        [
+            # relative residual 1e-5 of its last column: above the walk's
+            # floor 3 sqrt(eps) = 4.5e-8, below the shortcut's bar 2.1e-4
+            (lambda: np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-5]]), 3),
+            # 0/1 and rank 3: column 3 = column 0 + column 2 - column 1
+            (lambda: np.array([[0.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0], [0.0] * 4, [1.0] * 4]), 3),
+            (three_way_2x10_face, 175),
+        ],
+        ids=["small_residual_kept", "dependent_0_1", "three_way_2x10_face"],
+    )
+    def test_walk_answers_below_the_bar(self, monkeypatch, make_a, rank):
+        a = make_a()
+        np.linalg.cholesky(a.T @ a)  # succeeds: only the pivots' size sends these to the walk
+        qr_calls = []
+        qr = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            qr_calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        got = matrix_rank(a)
+        assert qr_calls
+        assert got.rank == rank
+        assert got.columns == gram_schmidt_reference(a)
+        dropped = [j for j in range(a.shape[1]) if j not in got.columns]
+        assert np.abs(a[:, dropped] - a[:, list(got.columns)] @ got.aliasing).max(initial=0.0) < 1e-12
 
 
 class TestSufficientStatistic:
@@ -299,3 +362,8 @@ class TestFullColumnRank:
         for call in (find_facial_set, per_cell_oracle, fit):
             with pytest.raises(ValueError, match="^design has 256 rows but the table has 8 cells$"):
                 call(table, model, design=other)
+
+    def test_facial_set_of_another_table_rejected(self):
+        model = parse_generators("[ab][ac][bc]")
+        with pytest.raises(ValueError, match="^facial set has 256 cells but the table has 8 cells$"):
+            fit(haberman(), model, find_facial_set(rochdale(), model))
