@@ -12,12 +12,13 @@ cell together need no second rank computation.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .formula import INTERCEPT
-from .table import DENSE_BUDGET
+from .table import DENSE_BUDGET, cell_strides
 
 __all__ = ["ColumnLabel", "DesignMatrix", "build_design", "matrix_rank", "Rank"]
 
@@ -160,74 +161,117 @@ class DesignMatrix:
 def design_for(table, model, design):
     """The model's design on the table, or ``design`` checked against it.
 
-    A passed design must have one row per cell of the table; one built
-    for another table raises ValueError.
+    A passed design must be the one ``build_design`` makes for this
+    table and model.  It is checked without being rebuilt: one row per
+    cell, the model's column labels on the table's factors and levels,
+    compared in one pass, and rows in this table's cell order, read from
+    the ``probe`` entries of ``design_columns``.  A design of another
+    table or model raises ValueError.
     """
     if design is None:
         return build_design(table, model)
     if design.matrix.shape[0] != table.n_cells:
         raise ValueError(f"design has {design.matrix.shape[0]} rows but the table has {table.n_cells} cells")
+    labels, _, probe = design_columns(table.factors, model)
+    if design.column_labels != labels:
+        for j, (got, want) in enumerate(zip(design.column_labels, labels)):
+            if got != want:
+                raise ValueError(f"design column {j} is {got}, where the model on this table has {want}")
+        raise ValueError(f"design has {design.d} columns but the model on this table has {len(labels)}")
+    if not design.matrix.ravel()[probe].all():
+        raise ValueError("design rows are not in this table's cell order")
     return design
+
+
+@lru_cache(maxsize=64)
+def design_columns(factors, model):
+    """(labels, patterns, probe) of the design of ``model`` on a table's ``factors``.
+
+    Columns appear intercept first, then terms in canonical order
+    (size, then name), then within a term the non-baseline level
+    combinations in lexicographic order with the term's last factor
+    varying fastest.  ``patterns`` is a read-only (d, n_factors) array:
+    row j holds the level index column j fixes for each factor of its
+    term and 0 elsewhere, so column j is 1 exactly on the cells that
+    match it where it is nonzero, and its first 1 is at the cell of
+    those level indices.
+
+    ``probe`` holds flat indices into the C-ordered design: for each
+    model factor with cell stride s, cells s to 2s - 1 of its column at
+    level index 1, where that column is 1.  A design with these labels
+    whose rows follow another table's cell order steps that factor every
+    s' != s cells: if s' > s its cell s is 0, and if s' < s its runs of
+    ones are s' long.  So it is 0 at some probe entry.
+
+    A term naming a factor the table lacks, or a design of more than
+    DENSE_BUDGET entries, raises ValueError before any column is made.
+    The result is cached, so a design built here and checked by
+    ``design_for`` shares its label objects.
+    """
+    factor_pos = {f.name: k for k, f in enumerate(factors)}
+    missing = model.factors - set(factor_pos)
+    if missing:
+        raise ValueError(f"model factor(s) {sorted(missing)} not in table")
+    shape = tuple(f.n_levels for f in factors)
+    n_cells = math.prod(shape)
+    terms = model.canonical_terms()
+    d = 1 + sum(math.prod(shape[factor_pos[name]] - 1 for name in term) for term in terms if term)
+    if n_cells * d > DENSE_BUDGET:
+        raise ValueError(
+            f"design of {n_cells} cells x {d} columns exceeds the "
+            f"{DENSE_BUDGET}-entry budget for dense arrays"
+        )
+    labels = [ColumnLabel(INTERCEPT, ())]
+    rows = [[0] * len(factors)]
+    mains = []  # (column, factor position) of each factor's level index 1
+    for term in terms[1:]:
+        positions = sorted(factor_pos[name] for name in term)
+        for combo in product(*(range(1, shape[k]) for k in positions)):
+            if combo == (1,):
+                mains.append((len(labels), positions[0]))
+            row = [0] * len(factors)
+            for k, lev in zip(positions, combo):
+                row[k] = lev
+            rows.append(row)
+            labels.append(
+                ColumnLabel(term, tuple((factors[k].name, factors[k].levels[lev]) for k, lev in zip(positions, combo)))
+            )
+    patterns = np.array(rows, dtype=np.intp)
+    strides = cell_strides(shape)
+    probe = np.concatenate(
+        [np.zeros(0, dtype=np.intp)] + [np.arange(strides[k], 2 * strides[k]) * d + j for j, k in mains]
+    )
+    patterns.flags.writeable = False
+    probe.flags.writeable = False
+    return tuple(labels), patterns, probe
 
 
 def build_design(table, model):
     """Build the design matrix of a hierarchical model on a table.
 
-    Columns appear intercept first, then terms in canonical order
-    (size, then name), then within a term the non-baseline level
-    combinations in lexicographic order with the term's last factor
-    varying fastest.  A design of more than DENSE_BUDGET entries
-    raises ValueError before anything is allocated; ``DesignMatrix``
-    checks the full column rank.
+    Columns are those of ``design_columns``, which raises ValueError
+    for a factor the table lacks or a design over DENSE_BUDGET before
+    anything is allocated; ``DesignMatrix`` checks the full column rank.
     """
-    factor_pos = {name: k for k, name in enumerate(table.factor_names)}
-    missing = model.factors - set(factor_pos)
-    if missing:
-        raise ValueError(f"model factor(s) {sorted(missing)} not in table")
-    d = 1 + sum(
-        math.prod(table.factors[factor_pos[name]].n_levels - 1 for name in term)
-        for term in model.terms
-        if term != INTERCEPT
-    )
-    if table.n_cells * d > DENSE_BUDGET:
-        raise ValueError(
-            f"design of {table.n_cells} cells x {d} columns exceeds the "
-            f"{DENSE_BUDGET}-entry budget for dense arrays"
-        )
-
+    labels = design_columns(table.factors, model)[0]
     n_cells = table.n_cells
     cells = np.arange(n_cells)
+    strides = cell_strides(table.shape)
 
     # Non-baseline indicator columns of the model's factors, at most d - 1
-    # of them; level index 0 is baseline.  Factor k's level index steps
-    # every prod(shape[k+1:]) cells, as the last factor varies fastest.
+    # of them; level index 0 is baseline.
     indicator = {}
-    for name in model.factors:
-        k = factor_pos[name]
-        level = cells // math.prod(table.shape[k + 1 :]) % table.shape[k]
-        for lev in range(1, table.factors[k].n_levels):
-            indicator[name, lev] = (level == lev).astype(np.float64)
+    for k, factor in enumerate(table.factors):
+        if factor.name in model.factors:
+            level = cells // strides[k] % factor.n_levels
+            for lev in range(1, factor.n_levels):
+                indicator[factor.name, factor.levels[lev]] = (level == lev).astype(np.float64)
 
     # each column is filled in place, so the design exists once
-    matrix = np.ones((n_cells, d))
-    labels = [ColumnLabel(INTERCEPT, ())]
-    for term in model.canonical_terms():
-        if term == INTERCEPT:
-            continue
-        names = sorted(term, key=factor_pos.get)
-        level_ranges = [range(1, table.factors[factor_pos[n]].n_levels) for n in names]
-        for combo in product(*level_ranges):
-            col = matrix[:, len(labels)]
-            for name, lev in zip(names, combo):
-                col *= indicator[name, lev]
-            labels.append(
-                ColumnLabel(
-                    term,
-                    tuple(
-                        (name, table.factors[factor_pos[name]].levels[lev])
-                        for name, lev in zip(names, combo)
-                    ),
-                )
-            )
+    matrix = np.ones((n_cells, len(labels)))
+    for j, label in enumerate(labels):
+        col = matrix[:, j]
+        for key in label.levels:
+            col *= indicator[key]
 
-    return DesignMatrix(matrix, tuple(labels))
+    return DesignMatrix(matrix, labels)

@@ -28,6 +28,11 @@ COUNT_MAX = 2**63 - 1
 _FREQUENCY = re.compile(r"[+-]?[0-9]+")
 
 
+def cell_strides(shape):
+    """Cells between steps of each factor's level index, as the last factor varies fastest."""
+    return np.array([math.prod(shape[k + 1 :]) for k in range(len(shape))], dtype=np.intp)
+
+
 class TableError(ValueError):
     """Malformed table input: duplicate cells, bad counts, ragged rows."""
 

@@ -16,7 +16,7 @@ from sparseloglin import (
     per_cell_oracle,
 )
 from sparseloglin.datasets import example3x3x3, haberman, rochdale
-from sparseloglin.design import Rank, matrix_rank
+from sparseloglin.design import Rank, design_columns, matrix_rank
 
 from conftest import iter_instances, make_table, margin, three_way_instance
 from test_acceptance import BIC_ROWS, CBIC_ROWS
@@ -362,6 +362,63 @@ class TestFullColumnRank:
         for call in (find_facial_set, per_cell_oracle, fit):
             with pytest.raises(ValueError, match="^design has 256 rows but the table has 8 cells$"):
                 call(table, model, design=other)
+
+    @pytest.mark.parametrize(
+        "case", ["renamed factors", "model factor missing", "another model", "factors reordered", "other strides"]
+    )
+    def test_design_of_another_model_or_factors_rejected(self, case):
+        # each table has the cell count of the design's own table
+        roch, x3 = rochdale(), example3x3x3()
+        paper = "|ad|ae|be|ce|ef|acg|dg|fg|bdh|"
+        renamed = ContingencyTable(tuple(FactorSpec(n, f.levels) for n, f in zip("pqrstuvw", roch.factors)), roch.counts)
+        three_by_nine = make_table((3, 9), x3.counts)
+        a, b, c = x3.factors
+        reordered = ContingencyTable((b, a, c), x3.counts)
+        table, model, design, message = {
+            "renamed factors": (
+                renamed,
+                parse_generators(paper.translate(str.maketrans("abcdefgh", "pqrstuvw"))),
+                build_design(roch, parse_generators(paper)),
+                r"^design column 1 is a1, where the model on this table has p1$",
+            ),
+            "model factor missing": (
+                three_by_nine,
+                parse_generators("[ab][ac][bc]"),
+                build_design(x3, parse_generators("[ab][ac][bc]")),
+                r"^model factor\(s\) \['c'\] not in table$",
+            ),
+            "another model": (
+                ContingencyTable((a, FactorSpec("b", tuple("123456789"))), x3.counts),
+                parse_generators("[a]"),
+                build_design(x3, parse_generators("[ab][ac][bc]")),
+                r"^design has 19 columns but the model on this table has 3$",
+            ),
+            "factors reordered": (
+                reordered,
+                parse_generators("[a][b][c]"),
+                build_design(x3, parse_generators("[a][b][c]")),
+                r"^design rows are not in this table's cell order$",
+            ),
+            "other strides": (
+                # factor b steps every 3 cells here and every 2 in the design's
+                # table, where cell 3 is also at b's second level
+                make_table((2, 2, 3), np.arange(1, 13)),
+                parse_generators("[b]"),
+                build_design(make_table((3, 2, 2), np.arange(1, 13)), parse_generators("[b]")),
+                r"^design rows are not in this table's cell order$",
+            ),
+        }[case]
+        for call in (find_facial_set, per_cell_oracle, fit):
+            with pytest.raises(ValueError, match=message):
+                call(table, model, design=design)
+
+    def test_design_checked_by_value(self):
+        # labels made anew, after the cache that build_design shares, still match
+        table, model = rochdale(), parse_generators("|ad|ae|be|ce|ef|acg|dg|fg|bdh|")
+        design = build_design(table, model)
+        design_columns.cache_clear()
+        fs = find_facial_set(table, model, design=design)
+        assert fit(table, model, fs, design=design).face_dimension == 22
 
     def test_facial_set_of_another_table_rejected(self):
         model = parse_generators("[ab][ac][bc]")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseloglin import (
     FitError,
@@ -18,7 +20,8 @@ from sparseloglin import (
 )
 
 from sparseloglin import datasets
-from sparseloglin.fit import _newton
+from sparseloglin.design import design_columns
+from sparseloglin.fit import _margins, _newton
 
 from conftest import iter_instances, make_table, moment_residual, relabel
 from test_faces import PAPER_MODELS
@@ -110,24 +113,29 @@ class TestClosedForms:
 
 class TestNewton:
     def test_simple_intercept_model(self):
+        # the intercept of a one-factor table of four cells
         X = np.ones((4, 1))
         y = np.array([1.0, 2.0, 3.0, 2.0])
-        theta, mu, info, _it = _newton(X, y, np.zeros(1), 1e-12)
+        margins = _margins((4,), np.zeros((1, 1), dtype=np.intp), np.ones(4, dtype=bool))
+        theta, mu, info, _it = _newton(X, y, np.zeros(1), 1e-12, margins)
         assert theta[0] == pytest.approx(np.log(2.0), abs=1e-12)
         np.testing.assert_array_equal(mu, np.exp(X @ theta))
-        np.testing.assert_array_equal(info, X.T @ (X * mu.reshape(-1, 1)))  # no ridge
+        np.testing.assert_array_equal(info, margins(mu, y - mu)[0])  # no ridge
+        np.testing.assert_allclose(info, X.T @ (X * mu.reshape(-1, 1)), rtol=1e-12, atol=0)
 
     def test_no_improving_step_raises_stalled(self):
         # a NaN objective admits no improving step
+        margins = _margins((), np.zeros((1, 0), dtype=np.intp), np.ones(1, dtype=bool))
         with pytest.raises(FitError, match=r"stalled after 1 iterations \(grad norm nan\)"):
-            _newton(np.ones((1, 1)), np.array([np.nan]), np.zeros(1), 1.0)
+            _newton(np.ones((1, 1)), np.array([np.nan]), np.zeros(1), 1.0, margins)
 
 
 class TestStandardErrors:
     @pytest.mark.parametrize("case", [*(("rochdale", g) for g in PAPER_MODELS), ("dense 2^10", two_way(10))])
     def test_bits_equal_information_formed_after_the_fit(self, case):
         # fit takes the information from Newton's last iteration; it
-        # must keep every bit of x*' diag(mu) x* formed anew at the fit
+        # must keep every bit of the margin information formed anew from
+        # the returned means, which is x*' diag(mu) x* up to rounding
         name, gens = case
         table = datasets.rochdale() if name == "rochdale" else dense_table(10)
         model = parse_generators(gens)
@@ -135,12 +143,57 @@ class TestStandardErrors:
         fs = find_facial_set(table, model, design=design)
         res = fit(table, model, fs, design=design)
         kept = res.estimable_columns
-        xf = design.matrix if fs.in_face.all() else design.matrix[fs.in_face]
-        x_star = xf if kept == tuple(range(design.d)) else np.ascontiguousarray(xf[:, kept])
         mu = res.fitted_means[fs.in_face]
-        want = np.sqrt(np.diag(np.linalg.inv(x_star.T @ (x_star * mu.reshape(-1, 1)))))
+        patterns = design_columns(table.factors, model)[1][list(kept)]
+        info = _margins(table.shape, patterns, fs.in_face)(mu, np.zeros_like(mu))[0]
+        want = np.sqrt(np.diag(np.linalg.inv(info)))
         got = np.array([res.coefficients[j].std_error for j in kept])
         assert got.tobytes() == want.tobytes()
+        x_star = design.matrix[np.ix_(fs.in_face, kept)]
+        np.testing.assert_allclose(info, x_star.T @ (x_star * mu.reshape(-1, 1)), rtol=1e-12, atol=0)
+
+
+@st.composite
+def margin_cases(draw):
+    """A table of 1-6 factors with 2-5 levels, a hierarchical model on it, a face and kept columns."""
+    shape = draw(st.lists(st.integers(2, 5), min_size=1, max_size=6))
+    while math.prod(shape) > 3000:  # bounds the design at 3000 x 4^3 entries per term
+        shape[shape.index(max(shape))] -= 1
+    names = "abcdef"[: len(shape)]
+    generators = draw(st.lists(st.sets(st.sampled_from(names), min_size=1, max_size=3), max_size=4))
+    if generators:
+        model = parse_generators("".join(f"[{''.join(sorted(g))}]" for g in generators))
+    else:
+        model = parse_formula("freq ~ 1")
+    seed = draw(st.integers(0, 2**32 - 1))
+    return tuple(shape), model, seed
+
+
+class TestMarginInformation:
+    @settings(max_examples=60, deadline=None)
+    @given(margin_cases())
+    def test_equals_the_design_product(self, case):
+        shape, model, seed = case
+        rng = np.random.default_rng(seed)
+        table = make_table(shape, np.zeros(math.prod(shape), dtype=np.int64))
+        design = build_design(table, model)
+        in_face = rng.random(table.n_cells) < rng.uniform(0.2, 1.0)
+        in_face[rng.integers(table.n_cells)] = True
+        if rng.random() < 0.3:
+            in_face[:] = True
+        kept = [j for j in range(design.d) if j == 0 or rng.random() < 0.7]
+        m = rng.uniform(1e-3, 50.0, int(in_face.sum()))
+        r = rng.normal(0.0, 5.0, m.size)
+        patterns = design_columns(table.factors, model)[1][kept]
+        info, xr = _margins(table.shape, patterns, in_face)(m, r)
+
+        x = design.matrix[np.ix_(in_face, kept)]
+        np.testing.assert_allclose(info, x.T @ (x * m.reshape(-1, 1)), rtol=1e-13, atol=0)
+        np.testing.assert_array_less(np.abs(xr - x.T @ r), 1e-13 * (x.T @ np.abs(r)) + 1e-300)
+        # columns that give one factor two levels share no cell
+        levels = [dict(design.column_labels[j].levels) for j in kept]
+        conflict = np.array([[any(a[f] != b[f] for f in a.keys() & b.keys()) for b in levels] for a in levels])
+        assert (info[conflict] == 0.0).all()
 
 
 class TestLoglikConventions:
