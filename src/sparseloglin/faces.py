@@ -117,15 +117,15 @@ def _presolve(table, model):
     return pairs, off_face
 
 
-def _solve_facial(problem, basis, bound):
-    """Solve one facial LP and check its objective bound.
+def _solve_facial(problem, start, bound, stop_above=None):
+    """Solve one facial LP, warm from the solution ``start``, and check its objective bound.
 
     The LP meets ``lp.solve``'s contract: t' >= 0, the binarized counts
     are feasible, the design has full column rank, so the rows of X'
     are independent, and the intercept row bounds the objective by
     ``bound`` = t'[0].  An objective above that bound is a solver fault.
     """
-    sol = lp.solve(problem, start=basis)
+    sol = lp.solve(problem, start=start, stop_above=stop_above)
     if sol.objective_value > bound + 1e-8:
         raise lp.SimplexError(f"facial LP objective {sol.objective_value} exceeds bound {bound}")
     return sol
@@ -137,8 +137,8 @@ def find_facial_set(table, model, design=None):
     Zero cells in a zero generator margin of the binarized table are
     presolved off the face; their LP columns stay, with objective 0,
     so every LP keeps the constraints X'a = t' and each starts from the
-    previous LP's optimal basis.  The known face cells K start as the
-    positive cells.  Each round takes the rank of X_K
+    previous LP's optimal basis and its inverse.  The known face cells
+    K start as the positive cells.  Each round takes the rank of X_K
     (``DesignMatrix.rows_rank``, no QR once K holds every cell) and
     moves every remaining candidate whose row lies in span(X_K) into
     the face (F = C ∩ span(F)); these cells add no rank.  If candidates
@@ -163,7 +163,7 @@ def find_facial_set(table, model, design=None):
     removed_trace = []
     span_closed = []
     iterations = 0
-    basis = None  # every LP shares X'a = t', so each starts from the last optimum
+    sol = None  # every LP shares X'a = t', so each starts from the last optimum
     t_prime = None  # built with the LP constraints when the first LP runs
     if known.all():
         termination = "initial_A_empty"
@@ -191,9 +191,8 @@ def find_facial_set(table, model, design=None):
         if t_prime is None:
             t_prime = _binarized_statistic(table, design)
             xt = np.ascontiguousarray(design.matrix.T)
-        sol = _solve_facial(lp.LinearProgram(active.astype(np.float64), xt, t_prime), basis, t_prime[0])
+        sol = _solve_facial(lp.LinearProgram(active.astype(np.float64), xt, t_prime), sol, t_prime[0])
         iterations += 1
-        basis = sol.basis
 
         removable = np.flatnonzero(active & (sol.point > lp.SUPPORT_TOL))
         if sol.objective_value <= lp.SUPPORT_TOL or removable.size == 0:
@@ -217,11 +216,16 @@ def per_cell_oracle(table, model, design=None):
     A cell is on the face containing t' iff some nonnegative solution
     of X'a = t' puts positive mass on it, so maximizing a(i) alone
     decides cell i directly; it is in the face when that maximum
-    exceeds lp.SUPPORT_TOL.  Presolved cells (see ``find_facial_set``)
+    exceeds lp.SUPPORT_TOL.  The LP stops at the first vertex with
+    a(i) > lp.SUPPORT_TOL: the primal simplex objective never
+    decreases along its path, and the optimum is the path's last
+    vertex, so some visited vertex exceeds the tolerance exactly when
+    the optimum does.  A cell whose optimum is at most the tolerance
+    runs to optimality.  Presolved cells (see ``find_facial_set``)
     are off the face by their zero margin and get no LP.  Quadratic in
     the number of remaining zero cells, with no state shared across
-    cells but the warm-start basis.  A mismatched ``design`` raises
-    ValueError, as in ``find_facial_set``.
+    cells but the warm start: the last LP's basis and its inverse.  A
+    mismatched ``design`` raises ValueError, as in ``find_facial_set``.
     """
     _check_table(table)
     design = design_for(table, model, design)
@@ -232,12 +236,11 @@ def per_cell_oracle(table, model, design=None):
     presolved, off_face = _presolve(table, model)
     in_face = table.counts > 0
     zeros = np.flatnonzero(~in_face & ~off_face)
-    basis = None  # the cells' LPs share X'a = t'; each starts from the last optimum
+    sol = None  # the cells' LPs share X'a = t'; each starts from the last one's vertex
     for i in zeros:
         c = np.zeros(n_cells)
         c[i] = 1.0
-        sol = _solve_facial(lp.LinearProgram(c, xt, t_prime), basis, t_prime[0])
-        basis = sol.basis
+        sol = _solve_facial(lp.LinearProgram(c, xt, t_prime), sol, t_prime[0], lp.SUPPORT_TOL)
         if sol.objective_value > lp.SUPPORT_TOL:
             in_face[i] = True
 

@@ -7,7 +7,8 @@ Solves  max c'a  subject to  A a = b, a >= 0  with a self-contained
 two-phase revised simplex.  The contract is that of the facial LPs,
 X'a = t': b >= 0 (``LinearProgram`` rejects a negative entry), the
 rows of A are linearly independent, and the LP is feasible and
-bounded.  ``solve`` returns an optimal vertex or raises SimplexError;
+bounded.  ``solve`` returns an optimal vertex, or with ``stop_above``
+the first vertex whose objective exceeds it, or raises SimplexError;
 it reads A and b in place.
 
 No tableau is kept: ``_simplex`` holds the inverse of the basis matrix
@@ -31,10 +32,13 @@ others, which raises "linearly dependent".  Phase 2 maximizes the
 objective from the basis phase 1 leaves; an improving column with no
 positive entry raises "unbounded".
 
-A solution carries its final ``basis``: the basic columns in the order
-of B's columns.  ``solve(lp, start=basis)`` on an LP with the same
-constraints and another objective skips phase 1 when that basis is
-still feasible, and starts phase 2 from it.
+A solution carries its final ``basis``, the basic columns in the order
+of B's columns, and its ``inverse`` B^-1 [I | b], which is always
+inverted afresh from A's columns.  ``solve(lp, start=sol)`` on an LP
+with another objective starts phase 2 from that basis, and skips
+phase 1 when the basis is still feasible.  When ``sol`` came from the
+same constraint arrays, it also starts from a copy of ``sol.inverse``;
+otherwise it inverts the basis on the new constraints.
 """
 
 from dataclasses import dataclass, field
@@ -111,12 +115,29 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Optimal vertex of a LinearProgram, with its basic columns in the order of B's columns."""
+    """Vertex of a LinearProgram, with its basic columns in the order of B's columns.
+
+    ``inverse`` is B^-1 [I | b], read-only, and ``constraints`` the
+    LP's (A, b) it was inverted from.
+    """
 
     objective_value: float
     point: np.ndarray = field(repr=False)
     pivots: int
     basis: np.ndarray = field(repr=False)
+    inverse: np.ndarray = field(repr=False)
+    constraints: tuple = field(repr=False)
+
+
+def _same_array(x, y):
+    """True when x and y both view all of one array, in its own layout."""
+    base = x.base
+    return (
+        base is y.base
+        and isinstance(base, np.ndarray)
+        and x.shape == y.shape == base.shape
+        and x.strides == y.strides == base.strides
+    )
 
 
 def _pivot(inv, basis, row, col, a):
@@ -241,12 +262,18 @@ def _phase1(A, b, max_iter):
     return basis, inv, pivots
 
 
-def solve(lp, start=None):
-    """Solve to an optimal basic feasible (vertex) solution.
+def solve(lp, start=None, stop_above=None):
+    """Solve to a basic feasible (vertex) solution, optimal unless ``stop_above`` ended the solve.
 
-    Returns an LpSolution.  ``start`` is the ``basis`` of an earlier
-    solution of an LP with the same constraints; phase 2 then starts
-    from it, and phase 1 runs only if it is not a feasible basis here.
+    Returns an LpSolution.  ``start`` is an earlier LpSolution of an LP
+    with the same number of constraints; phase 2 then starts from its
+    basis, and phase 1 runs only if that is not a feasible basis here.
+    Its inverse is reused when both LPs were given the same constraint
+    arrays (the same objects, not equal values, and not written to
+    since), and B is inverted afresh from this LP's columns otherwise.
+    With ``stop_above``, phase 2 ends at the first basis whose
+    objective exceeds it, read after the fresh inversion that precedes
+    every verdict.
 
     The thresholds are this module's constants: phase 1 ends once the
     artificial sum is <= FEASIBILITY_TOL, and SUPPORT_TOL is both the
@@ -261,15 +288,20 @@ def solve(lp, start=None):
     cost = -lp.objective  # _simplex minimizes
 
     total_pivots = 0
-    basis = None if start is None else np.array(start, dtype=np.int64)
-    inv = None if basis is None else _invert(A, b, basis)
+    basis = inv = None
+    if start is not None:
+        basis = start.basis.copy()
+        same = all(map(_same_array, start.constraints, (A, b)))
+        inv = start.inverse.copy() if same else _invert(A, b, basis)
     if inv is None or not (inv[:, -1] >= -SUPPORT_TOL).all():
         basis, inv, total_pivots = _phase1(A, b, max_iter)
         # with the artificials gone, B is A[:, basis]: phase 2 starts
         # from B inverted afresh from A's columns
         _rebuild(A, b, basis, inv, 2, 0)
 
-    total_pivots += _simplex(A, b, cost, basis, inv, max_iter, 2)
+    # cost . a <= -(the next float above stop_above) iff objective > stop_above
+    stop_at = None if stop_above is None else -np.nextafter(stop_above, np.inf)
+    total_pivots += _simplex(A, b, cost, basis, inv, max_iter, 2, stop_at)
 
     x = np.zeros(n)
     x[basis] = inv[:, -1]
@@ -282,4 +314,5 @@ def solve(lp, start=None):
     if residual > max(FEASIBILITY_TOL, 1e-9 * (1.0 + float(b.max(initial=0.0)))):
         raise SimplexError(f"constraint residual {residual:.3e} exceeds tolerance")
 
-    return LpSolution(float(lp.objective @ x), x, total_pivots, basis)
+    inv.flags.writeable = False
+    return LpSolution(float(lp.objective @ x), x, total_pivots, basis, inv, (A, b))

@@ -83,6 +83,35 @@ def three_way_instance(seed, k=8, p0=0.85):
     return make_table((2,) * k, counts), parse_generators(gens)
 
 
+def highs_facial_set(design, counts):
+    """Facial set from one homogenized LP solved by HiGHS.
+
+    Maximizes sum s_i over the zero cells subject to X'a = lam t',
+    a >= 0, lam >= 0 and 0 <= s_i <= min(a_i, 1).  The cone is scale
+    invariant, so s_i is 1 on every zero cell of the face and 0 elsewhere.
+    Needs scipy, imported here so that tests which run without it can
+    share this module.
+    """
+    from scipy.optimize import linprog
+
+    x = design.matrix
+    n, d = x.shape
+    zeros = np.flatnonzero(counts == 0)
+    k = zeros.size
+    t_prime = x.T @ (counts > 0).astype(np.float64)
+    a_eq = np.hstack([x.T, np.zeros((d, k)), -t_prime[:, None]])
+    pick = np.zeros((k, n))
+    pick[np.arange(k), zeros] = 1.0
+    a_ub = np.hstack([-pick, np.eye(k), np.zeros((k, 1))])
+    c = np.concatenate([np.zeros(n), -np.ones(k), [0.0]])
+    bounds = [(0, None)] * n + [(0, 1)] * k + [(0, None)]
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(k), A_eq=a_eq, b_eq=np.zeros(d), bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    in_face = counts > 0
+    in_face[zeros] = res.x[n : n + k] > 0.5
+    return in_face
+
+
 def relabel(table, order, flip):
     """The table with its factors in ``order`` and the levels of the factors in ``flip`` reversed.
 

@@ -44,7 +44,7 @@ OPTIONAL = {
     "faces.find_facial_set": ("design",),
     "faces.per_cell_oracle": ("design",),
     "fit.fit": ("facial_set", "design"),
-    "lp.solve": ("start",),
+    "lp.solve": ("start", "stop_above"),
     "report.build_report": ("fit_result", "oracle"),
     "table.ContingencyTable.label_columns": ("convert",),
     "table.parse_table": ("freq_column",),

@@ -1,3 +1,4 @@
+import importlib.util
 import tracemalloc
 
 import numpy as np
@@ -12,10 +13,11 @@ from sparseloglin import (
     parse_generators,
     per_cell_oracle,
 )
+from sparseloglin import lp as lpmod
 from sparseloglin.datasets import rochdale
 from sparseloglin.lp import SUPPORT_TOL, LinearProgram, solve
 
-from conftest import iter_instances, make_table, margin, relabel
+from conftest import highs_facial_set, iter_instances, make_table, margin, relabel, three_way_instance
 from test_acceptance import BIC_ROWS, CBIC_ROWS
 
 # The 9 distinct models of the reference cBIC and BIC tables, in table
@@ -57,13 +59,12 @@ def max_cell_mass(design, counts, cells):
     """max a_i over a >= 0 with X'a = t', by one LP per cell on the full design."""
     xt = design.matrix.T
     t_prime = xt @ (counts > 0).astype(np.float64)
-    basis = None
+    sol = None
     out = []
     for i in cells:
         c = np.zeros(design.matrix.shape[0])
         c[i] = 1.0
-        sol = solve(LinearProgram(c, xt, t_prime), start=basis)
-        basis = sol.basis
+        sol = solve(LinearProgram(c, xt, t_prime), start=sol)
         out.append(sol.objective_value)
     return np.array(out)
 
@@ -322,3 +323,49 @@ class TestInvariants:
             traced = [i for batch in fs.removed_per_iteration for i in batch]
             assert len(traced) == len(set(traced))
             assert set(traced) == rescued
+
+
+class TestOracle:
+    @pytest.mark.parametrize("seed, k, p0", [(1, 9, 0.85), (0, 10, 0.92)])
+    def test_larger_three_way_rungs(self, seed, k, p0):
+        # hundreds of warm LPs on 130 and 176 rows, each ended at its
+        # first witnessing vertex or at an optimum of 0
+        table, model = three_way_instance(seed, k, p0)
+        design = build_design(table, model)
+        fs = find_facial_set(table, model, design=design)
+        oracle = per_cell_oracle(table, model, design=design)
+        assert oracle.iterations == (table.counts == 0).sum() - len(oracle.presolved)
+        assert np.array_equal(oracle.in_face, fs.in_face)
+        assert oracle.face_dimension == fs.face_dimension
+        if importlib.util.find_spec("scipy") is not None:
+            assert np.array_equal(oracle.in_face, highs_facial_set(design, table.counts))
+
+    def test_every_yes_carries_its_witness(self, monkeypatch, paper_faces, table3x3x3):
+        solved = []
+
+        def recorded(problem, *args, **kwargs):
+            sol = solve(problem, *args, **kwargs)
+            solved.append((int(np.argmax(problem.objective)), sol))
+            return sol
+
+        monkeypatch.setattr(lpmod, "solve", recorded)
+        cases = [paper_faces[0][:2], (table3x3x3, parse_generators("[ab][bc][ac]"))]
+        cases += list(iter_instances(60, seed=23))
+        n_witnessed = 0
+        for table, model in cases:
+            solved.clear()
+            oracle = per_cell_oracle(table, model)
+            xt = build_design(table, model).matrix.T
+            t_prime = xt @ (table.counts > 0).astype(np.float64)
+            zeros = [cell for cell, _ in solved]
+            assert zeros == [i for i in np.flatnonzero(table.counts == 0) if i not in dict(oracle.presolved)]
+            for cell, sol in solved:
+                if oracle.in_face[cell]:
+                    a = sol.point
+                    assert (a >= 0).all()
+                    assert np.abs(xt @ a - t_prime).max() <= 1e-9
+                    assert a[cell] > SUPPORT_TOL
+                    n_witnessed += 1
+                else:
+                    assert sol.objective_value <= SUPPORT_TOL
+        assert n_witnessed > 0

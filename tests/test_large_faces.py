@@ -2,7 +2,8 @@
 
 These tables are well past the toy sizes of the other tests: the
 three-way models have 93 to 232 LP rows and off-face cells that no
-zero margin explains.  scipy is used only here, as an independent reference.
+zero margin explains.  scipy's HiGHS (``conftest.highs_facial_set``)
+is the independent reference.
 """
 
 import itertools
@@ -12,36 +13,11 @@ import pytest
 
 from sparseloglin import build_design, find_facial_set, parse_generators
 
-from conftest import make_table, relabel, three_way_instance
+from conftest import highs_facial_set, make_table, relabel, three_way_instance
 
-linprog = pytest.importorskip("scipy.optimize").linprog
+pytest.importorskip("scipy.optimize")
 
 NAMES = "abcdefghij"
-
-
-def highs_facial_set(design, counts):
-    """Facial set from one homogenized LP solved by HiGHS.
-
-    Maximizes sum s_i over the zero cells subject to X'a = lam t',
-    a >= 0, lam >= 0 and 0 <= s_i <= min(a_i, 1).  The cone is scale
-    invariant, so s_i is 1 on every zero cell of the face and 0 elsewhere.
-    """
-    x = design.matrix
-    n, d = x.shape
-    zeros = np.flatnonzero(counts == 0)
-    k = zeros.size
-    t_prime = x.T @ (counts > 0).astype(np.float64)
-    a_eq = np.hstack([x.T, np.zeros((d, k)), -t_prime[:, None]])
-    pick = np.zeros((k, n))
-    pick[np.arange(k), zeros] = 1.0
-    a_ub = np.hstack([-pick, np.eye(k), np.zeros((k, 1))])
-    c = np.concatenate([np.zeros(n), -np.ones(k), [0.0]])
-    bounds = [(0, None)] * n + [(0, 1)] * k + [(0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(k), A_eq=a_eq, b_eq=np.zeros(d), bounds=bounds, method="highs")
-    assert res.status == 0, res.message
-    in_face = counts > 0
-    in_face[zeros] = res.x[n : n + k] > 0.5
-    return in_face
 
 
 def two_way_instance(k):

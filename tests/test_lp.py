@@ -403,7 +403,7 @@ class TestWarmStart:
             cold = solve(lp)
             with monkeypatch.context() as mp:
                 mp.setattr(lpmod, "_phase1", no_phase1)
-                warm = solve(lp, start=prev.basis)
+                warm = solve(lp, start=prev)
             assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
             assert np.abs(lp.constraint_matrix @ warm.point - lp.rhs).max() <= 1e-9
             prev = warm
@@ -419,7 +419,7 @@ class TestWarmStart:
                 cold = solve(lp)
                 with monkeypatch.context() as mp:
                     mp.setattr(lpmod, "_phase1", no_phase1)
-                    warm = solve(lp, start=prev.basis)
+                    warm = solve(lp, start=prev)
                 expect = brute_force_max(c, a_mat, b)
                 assert warm.objective_value == pytest.approx(expect, abs=1e-8)
                 assert cold.objective_value == pytest.approx(expect, abs=1e-8)
@@ -434,9 +434,68 @@ class TestWarmStart:
             prev = solve(LinearProgram(rng.normal(size=a_mat.shape[1]), a_mat, b))
             fallbacks += bool((np.linalg.solve(a_new[:, prev.basis], b_new) < -1e-8).any())
             c = rng.normal(size=a_mat.shape[1])
-            sol = solve(LinearProgram(c, a_new, b_new), start=prev.basis)
+            sol = solve(LinearProgram(c, a_new, b_new), start=prev)
             assert sol.objective_value == pytest.approx(brute_force_max(c, a_new, b_new), abs=1e-8)
         assert fallbacks > 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_chain_equals_the_chain_inverted_afresh(self, monkeypatch, seed):
+        # three-way 2^8: the loop's first LP, then per-cell LPs stopped as
+        # in per_cell_oracle; each warm start copies the last inverse
+        # instead of inverting its basis, and nothing else changes
+        table, model = three_way_instance(seed)
+        xt = np.ascontiguousarray(build_design(table, model).matrix.T)
+        t_prime = xt @ (table.counts > 0)
+        zero = table.counts == 0
+        chain = [(zero.astype(float), None)]
+        chain += [(np.eye(1, table.n_cells, i)[0], lpmod.SUPPORT_TOL) for i in np.flatnonzero(zero)[:60]]
+        inversions = []
+        invert = lpmod._invert
+        monkeypatch.setattr(lpmod, "_invert", lambda *args: inversions.append(1) or invert(*args))
+
+        def run():
+            inversions.clear()
+            sol, out = None, []
+            for c, stop_above in chain:
+                sol = solve(LinearProgram(c, xt, t_prime), start=sol, stop_above=stop_above)
+                out.append(sol)
+            return out, len(inversions)
+
+        carried, n_carried = run()
+        monkeypatch.setattr(lpmod, "_same_array", lambda x, y: False)
+        fresh, n_fresh = run()
+        assert n_fresh == n_carried + len(chain) - 1
+        for got, want in zip(carried, fresh):
+            assert got.pivots == want.pivots
+            assert np.array_equal(got.basis, want.basis)
+            assert np.array_equal(got.point, want.point)
+            assert np.array_equal(got.inverse, want.inverse)
+        assert sum(sol.pivots for sol in carried[1:]) > 0
+
+    def test_start_from_other_constraints_inverts_afresh(self, monkeypatch):
+        # equal values in other memory, another rhs on the same matrix
+        # (another row of the array that holds the first rhs), and other
+        # constraints of the same shape
+        rng = np.random.default_rng(5)
+        inverted = []
+        invert = lpmod._invert
+        monkeypatch.setattr(lpmod, "_invert", lambda M, b, basis: inverted.append(basis.copy()) or invert(M, b, basis))
+        for _ in range(40):
+            a_mat, b = random_bounded_lp(rng)
+            rhs = np.stack((b, 2.0 * b))
+            prev = solve(LinearProgram(rng.normal(size=a_mat.shape[1]), a_mat, rhs[0]))
+            others = [(a_mat.copy(), b.copy()), (a_mat, rhs[1]), nonnegative_rhs(a_mat, random_feasible_rhs(rng, a_mat))]
+            for a_new, b_new in others:
+                c = rng.normal(size=a_mat.shape[1])
+                inverted.clear()
+                sol = solve(LinearProgram(c, a_new, b_new), start=prev)
+                assert np.array_equal(inverted[0], prev.basis)
+                assert sol.objective_value == pytest.approx(brute_force_max(c, a_new, b_new), abs=1e-8)
+
+    def test_solution_inverse_is_read_only(self):
+        sol = solve(LinearProgram([1.0, 0.0], [[1.0, 1.0]], [1.0]))
+        with pytest.raises(ValueError, match="read-only"):
+            sol.inverse[0, 0] = 2.0
 
     def test_warm_solve_reads_the_constraints_in_place(self):
         # three-way 2^8, warm-started from the all-zero-cells optimum as
@@ -453,7 +512,7 @@ class TestWarmStart:
         lp = LinearProgram(c, xt, t_prime)
         tracemalloc.start()
         try:
-            warm = solve(lp, start=cold.basis)
+            warm = solve(lp, start=cold)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -477,3 +536,50 @@ class TestWarmStart:
         m, n = xt.shape
         assert cold.pivots > 0
         assert peak <= 3 * 8 * (m + 1) * (n + m + 1)
+
+
+class TestStopAbove:
+    def test_verdict_matches_the_optimum(self):
+        # the solve exceeds s exactly when the optimum does, on a prefix
+        # of the full solve's path; otherwise it is the full solve
+        rng = np.random.default_rng(8)
+        n_stopped = 0
+        for _ in range(60):
+            a_mat, b = random_bounded_lp(rng)
+            prev = solve(LinearProgram(rng.normal(size=a_mat.shape[1]), a_mat, b))
+            c = rng.normal(size=a_mat.shape[1])
+            lp = LinearProgram(c, a_mat, b)
+            best = solve(lp, start=prev)
+            v0, v = float(c @ prev.point), best.objective_value
+            # each bar at least 1e-6 from v, far above the roundoff of objectives
+            bars = [v0 - 1e-6, v - 1e-6, v + 1e-6] + [(v0 + v) / 2] * (v - v0 > 2e-6)
+            for s in bars:
+                sol = solve(lp, start=prev, stop_above=s)
+                if v > s:
+                    assert sol.objective_value > s
+                    assert sol.pivots <= best.pivots
+                    n_stopped += sol.pivots < best.pivots
+                else:
+                    assert sol.pivots == best.pivots
+                    assert np.array_equal(sol.point, best.point)
+        assert n_stopped > 0
+
+    def test_strict_at_the_start_vertex(self):
+        # max a_i from a vertex with a_i = v below the optimum: the solve
+        # ends at the start for any bar below v, and moves on for v itself
+        rng = np.random.default_rng(9)
+        n_cases = 0
+        while n_cases < 20:
+            a_mat, b = random_bounded_lp(rng)
+            n = a_mat.shape[1]
+            prev = solve(LinearProgram(rng.normal(size=n), a_mat, b))
+            for i in np.flatnonzero(prev.point > 0):
+                lp = LinearProgram(np.eye(1, n, i)[0], a_mat, b)
+                v = prev.point[i]
+                if solve(lp).objective_value <= v + 1e-6:
+                    continue
+                below = solve(lp, start=prev, stop_above=np.nextafter(v, -np.inf))
+                assert below.pivots == 0 and np.array_equal(below.point, prev.point)
+                at = solve(lp, start=prev, stop_above=v)
+                assert at.pivots > 0 and at.objective_value > v
+                n_cases += 1
