@@ -79,9 +79,11 @@ class FacialSet:
         return int(self.in_face.sum())
 
 
-def _binarized_statistic(table, design):
+def _facial_lp(table, design):
+    """The constraints X'a = t' that every facial LP of ``table`` shares, t' the binarized statistic."""
+    xt = design.matrix.T
     # 0/1 entries, so the float64 sums are exact integers
-    return design.matrix.T @ (table.counts > 0)
+    return lp.LinearProgram(xt, xt @ (table.counts > 0))
 
 
 def _check_table(table):
@@ -117,15 +119,17 @@ def _presolve(table, model):
     return pairs, off_face
 
 
-def _solve_facial(problem, start, bound, stop_above=None):
-    """Solve one facial LP, warm from the solution ``start``, and check its objective bound.
+def _solve_facial(problem, objective, start, stop_above=None):
+    """Maximize ``objective`` over the facial LP ``problem``, warm from the solution ``start``, and check its bound.
 
     The LP meets ``lp.solve``'s contract: t' >= 0, the binarized counts
     are feasible, the design has full column rank, so the rows of X'
     are independent, and the intercept row bounds the objective by
-    ``bound`` = t'[0].  An objective above that bound is a solver fault.
+    t'[0], for the 0/1 objectives used here.  An objective above that
+    bound is a solver fault.
     """
-    sol = lp.solve(problem, start=start, stop_above=stop_above)
+    sol = lp.solve(problem, objective, start=start, stop_above=stop_above)
+    bound = problem.rhs[0]
     if sol.objective_value > bound + 1e-8:
         raise lp.SimplexError(f"facial LP objective {sol.objective_value} exceeds bound {bound}")
     return sol
@@ -136,9 +140,11 @@ def find_facial_set(table, model, design=None):
 
     Zero cells in a zero generator margin of the binarized table are
     presolved off the face; their LP columns stay, with objective 0,
-    so every LP keeps the constraints X'a = t' and each starts from the
-    previous LP's optimal basis and its inverse.  The known face cells
-    K start as the positive cells.  Each round takes the rank of X_K
+    so every LP of the call is an objective over one
+    ``lp.LinearProgram``, X'a = t', built when the first LP is needed,
+    and each LP starts from the previous one's optimal basis and its
+    inverse.  The known face cells K start as the positive cells.
+    Each round takes the rank of X_K
     (``DesignMatrix.rows_rank``, no QR once K holds every cell) and
     moves every remaining candidate whose row lies in span(X_K) into
     the face (F = C ∩ span(F)); these cells add no rank.  If candidates
@@ -163,8 +169,7 @@ def find_facial_set(table, model, design=None):
     removed_trace = []
     span_closed = []
     iterations = 0
-    sol = None  # every LP shares X'a = t', so each starts from the last optimum
-    t_prime = None  # built with the LP constraints when the first LP runs
+    problem = sol = None  # X'a = t', built when the first LP runs; each LP starts from the last optimum
     if known.all():
         termination = "initial_A_empty"
     elif not active.any():
@@ -188,10 +193,9 @@ def find_facial_set(table, model, design=None):
         if not active.any():
             break
 
-        if t_prime is None:
-            t_prime = _binarized_statistic(table, design)
-            xt = np.ascontiguousarray(design.matrix.T)
-        sol = _solve_facial(lp.LinearProgram(active.astype(np.float64), xt, t_prime), sol, t_prime[0])
+        if problem is None:
+            problem = _facial_lp(table, design)
+        sol = _solve_facial(problem, active.astype(np.float64), sol)
         iterations += 1
 
         removable = np.flatnonzero(active & (sol.point > lp.SUPPORT_TOL))
@@ -222,25 +226,26 @@ def per_cell_oracle(table, model, design=None):
     vertex, so some visited vertex exceeds the tolerance exactly when
     the optimum does.  A cell whose optimum is at most the tolerance
     runs to optimality.  Presolved cells (see ``find_facial_set``)
-    are off the face by their zero margin and get no LP.  Quadratic in
-    the number of remaining zero cells, with no state shared across
-    cells but the warm start: the last LP's basis and its inverse.  A
-    mismatched ``design`` raises ValueError, as in ``find_facial_set``.
+    are off the face by their zero margin and get no LP.  Every cell's
+    LP is an objective over one ``lp.LinearProgram``, X'a = t', built
+    once per call.  Quadratic in the number of remaining zero cells,
+    with no state shared across cells but the warm start: the last
+    LP's basis and its inverse.  A mismatched ``design`` raises
+    ValueError, as in ``find_facial_set``.
     """
     _check_table(table)
     design = design_for(table, model, design)
     n_cells = table.n_cells
-    t_prime = _binarized_statistic(table, design)
-    xt = np.ascontiguousarray(design.matrix.T)
+    problem = _facial_lp(table, design)
 
     presolved, off_face = _presolve(table, model)
     in_face = table.counts > 0
     zeros = np.flatnonzero(~in_face & ~off_face)
-    sol = None  # the cells' LPs share X'a = t'; each starts from the last one's vertex
+    sol = None  # each cell's LP starts from the last one's vertex
     for i in zeros:
         c = np.zeros(n_cells)
         c[i] = 1.0
-        sol = _solve_facial(lp.LinearProgram(c, xt, t_prime), sol, t_prime[0], lp.SUPPORT_TOL)
+        sol = _solve_facial(problem, c, sol, lp.SUPPORT_TOL)
         if sol.objective_value > lp.SUPPORT_TOL:
             in_face[i] = True
 

@@ -32,13 +32,14 @@ others, which raises "linearly dependent".  Phase 2 maximizes the
 objective from the basis phase 1 leaves; an improving column with no
 positive entry raises "unbounded".
 
-A solution carries its final ``basis``, the basic columns in the order
-of B's columns, and its ``inverse`` B^-1 [I | b], which is always
-inverted afresh from A's columns.  ``solve(lp, start=sol)`` on an LP
-with another objective starts phase 2 from that basis, and skips
-phase 1 when the basis is still feasible.  When ``sol`` came from the
-same constraint arrays, it also starts from a copy of ``sol.inverse``;
-otherwise it inverts the basis on the new constraints.
+A ``LinearProgram`` holds the constraints (A, b) alone, checked once,
+and ``solve(lp, c)`` takes the objective, so one problem serves every
+objective of a facial computation.  A solution carries its final
+``basis``, the basic columns in the order of B's columns, and its
+``inverse`` B^-1 [I | b], which is always inverted afresh from A's
+columns.  ``solve(lp, c, start=sol)``, with ``sol`` an earlier
+solution of that same ``lp``, starts phase 2 from ``sol``'s basis and
+a copy of its inverse, and runs no phase 1.
 """
 
 from dataclasses import dataclass, field
@@ -70,37 +71,33 @@ class SimplexError(RuntimeError):
     """No optimum: an LP outside the contract, or numerical breakdown (pivot cap, drift, a failed check)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # one problem is one object: equal and hashed by identity
 class LinearProgram:
-    """max objective . a  subject to  constraint_matrix @ a = rhs, a >= 0, with rhs >= 0.
+    """The constraints constraint_matrix @ a = rhs, a >= 0, with rhs >= 0, checked once.
 
-    The arrays are kept as read-only views; a C-contiguous float64
-    constraint matrix is not copied.
+    ``solve`` maximizes an objective over them; every objective of one
+    problem is solved against this one object.  The arrays are kept as
+    read-only views: a float64 constraint matrix of any layout, such
+    as a design's transpose, is not copied.
     """
 
-    objective: np.ndarray = field(repr=False)
     constraint_matrix: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=np.float64)
         a = np.asarray(self.constraint_matrix, dtype=np.float64)
         b = np.asarray(self.rhs, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError("constraint matrix must be 2-D")
-        m, n = a.shape
-        if c.shape != (n,):
-            raise ValueError(f"objective has shape {c.shape}, expected ({n},)")
-        if b.shape != (m,):
-            raise ValueError(f"rhs has shape {b.shape}, expected ({m},)")
-        if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+        if b.shape != (a.shape[0],):
+            raise ValueError(f"rhs has shape {b.shape}, expected ({a.shape[0]},)")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("non-finite entries in LP data")
         if (b < 0).any():
             raise ValueError("negative rhs entry; negate its constraint row")
-        c, a, b = (arr.view() for arr in (c, np.ascontiguousarray(a), b))
-        for arr in (c, a, b):
+        a, b = a.view(), b.view()
+        for arr in (a, b):
             arr.flags.writeable = False
-        object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", a)
         object.__setattr__(self, "rhs", b)
 
@@ -115,10 +112,10 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Vertex of a LinearProgram, with its basic columns in the order of B's columns.
+    """Vertex of ``lp`` for one objective, with its basic columns in the order of B's columns.
 
-    ``inverse`` is B^-1 [I | b], read-only, and ``constraints`` the
-    LP's (A, b) it was inverted from.
+    ``inverse`` is B^-1 [I | b], read-only, inverted afresh from the
+    columns of ``lp``'s A.
     """
 
     objective_value: float
@@ -126,18 +123,7 @@ class LpSolution:
     pivots: int
     basis: np.ndarray = field(repr=False)
     inverse: np.ndarray = field(repr=False)
-    constraints: tuple = field(repr=False)
-
-
-def _same_array(x, y):
-    """True when x and y both view all of one array, in its own layout."""
-    base = x.base
-    return (
-        base is y.base
-        and isinstance(base, np.ndarray)
-        and x.shape == y.shape == base.shape
-        and x.strides == y.strides == base.strides
-    )
+    lp: LinearProgram = field(repr=False)
 
 
 def _pivot(inv, basis, row, col, a):
@@ -262,42 +248,45 @@ def _phase1(A, b, max_iter):
     return basis, inv, pivots
 
 
-def solve(lp, start=None, stop_above=None):
-    """Solve to a basic feasible (vertex) solution, optimal unless ``stop_above`` ended the solve.
+def solve(lp, objective, start=None, stop_above=None):
+    """Maximize objective . a over the LinearProgram ``lp``, to a vertex, optimal unless ``stop_above`` ended the solve.
 
-    Returns an LpSolution.  ``start`` is an earlier LpSolution of an LP
-    with the same number of constraints; phase 2 then starts from its
-    basis, and phase 1 runs only if that is not a feasible basis here.
-    Its inverse is reused when both LPs were given the same constraint
-    arrays (the same objects, not equal values, and not written to
-    since), and B is inverted afresh from this LP's columns otherwise.
-    With ``stop_above``, phase 2 ends at the first basis whose
-    objective exceeds it, read after the fresh inversion that precedes
-    every verdict.
+    Returns an LpSolution.  ``start`` is an earlier LpSolution of this
+    same ``lp``, for another objective; phase 2 then starts from its
+    basis and a copy of its inverse, with no phase 1: the basis was
+    checked feasible for these constraints when it was returned.  A
+    ``start`` from any other LinearProgram, even one built from the
+    same arrays, raises ValueError.  With ``stop_above``, phase 2 ends
+    at the first basis whose objective exceeds it, read after the
+    fresh inversion that precedes every verdict.
 
     The thresholds are this module's constants: phase 1 ends once the
-    artificial sum is <= FEASIBILITY_TOL, and SUPPORT_TOL is both the
-    negative slack a warm-start basis may have and the roundoff clamped
-    from the vertex.  Each phase may take 10000 + 100 (m + n) pivots.
-    Raises SimplexError when the LP is infeasible, unbounded or has a
-    linearly dependent constraint, and on numerical breakdown.
+    artificial sum is <= FEASIBILITY_TOL, and SUPPORT_TOL is the
+    roundoff clamped from the vertex.  Each phase may take
+    10000 + 100 (m + n) pivots.  An objective of the wrong shape or
+    with non-finite entries raises ValueError.  Raises SimplexError
+    when the LP is infeasible, unbounded or has a linearly dependent
+    constraint, and on numerical breakdown.
     """
     m, n = lp.n_constraints, lp.n_vars
+    c = np.asarray(objective, dtype=np.float64)
+    if c.shape != (n,):
+        raise ValueError(f"objective has shape {c.shape}, expected ({n},)")
+    if not np.isfinite(c).all():
+        raise ValueError("non-finite objective entry")
     max_iter = 10_000 + 100 * (m + n)
     A, b = lp.constraint_matrix, lp.rhs
-    cost = -lp.objective  # _simplex minimizes
+    cost = -c  # _simplex minimizes
 
-    total_pivots = 0
-    basis = inv = None
-    if start is not None:
-        basis = start.basis.copy()
-        same = all(map(_same_array, start.constraints, (A, b)))
-        inv = start.inverse.copy() if same else _invert(A, b, basis)
-    if inv is None or not (inv[:, -1] >= -SUPPORT_TOL).all():
+    if start is None:
         basis, inv, total_pivots = _phase1(A, b, max_iter)
         # with the artificials gone, B is A[:, basis]: phase 2 starts
         # from B inverted afresh from A's columns
         _rebuild(A, b, basis, inv, 2, 0)
+    elif start.lp is lp:
+        basis, inv, total_pivots = start.basis.copy(), start.inverse.copy(), 0
+    else:
+        raise ValueError("start is a solution of another LinearProgram")
 
     # cost . a <= -(the next float above stop_above) iff objective > stop_above
     stop_at = None if stop_above is None else -np.nextafter(stop_above, np.inf)
@@ -315,4 +304,4 @@ def solve(lp, start=None, stop_above=None):
         raise SimplexError(f"constraint residual {residual:.3e} exceeds tolerance")
 
     inv.flags.writeable = False
-    return LpSolution(float(lp.objective @ x), x, total_pivots, basis, inv, (A, b))
+    return LpSolution(float(c @ x), x, total_pivots, basis, inv, lp)

@@ -193,7 +193,7 @@ def test_criterion_9_lp_sanity(sweep):
     for table, _model, design, fs, _oracle in sweep[:200]:
         t_prime = design.matrix.T @ (table.counts > 0)
         c = (table.counts == 0).astype(float)
-        sol = solve(LinearProgram(c, design.matrix.T, t_prime))
+        sol = solve(LinearProgram(design.matrix.T, t_prime), c)
         assert sol.objective_value <= t_prime[0] + 1e-8
 
     rng = np.random.default_rng(90)
@@ -209,7 +209,7 @@ def test_criterion_9_lp_sanity(sweep):
         a_mat, b = nonnegative_rhs(a_mat, b)
         c = rng.normal(size=n)
         expect = brute_force_max(c, a_mat, b)
-        sol = solve(LinearProgram(c, a_mat, b))
+        sol = solve(LinearProgram(a_mat, b), c)
         assert sol.objective_value == pytest.approx(expect, abs=1e-8)
         checked += 1
     ok(9, "LP optimality, boundedness, and brute-force agreement")

@@ -107,6 +107,18 @@ def test_optional_parameters_are_pinned():
     assert found == OPTIONAL
 
 
+def test_lp_names_the_tracer_reads_are_pinned():
+    # perfbench/tracing.py reads the LP from solve's first argument or
+    # its "lp" keyword, the LP's n_constraints and n_vars, and the
+    # solution's pivots
+    from sparseloglin import lp
+
+    assert next(iter(inspect.signature(lp.solve).parameters)) == "lp"
+    problem = lp.LinearProgram([[1.0, 1.0]], [1.0])
+    assert (problem.n_constraints, problem.n_vars) == (1, 2)
+    assert lp.solve(lp=problem, objective=[0.0, 1.0]).pivots == 2  # one pivot per phase
+
+
 def unused_imports(source):
     """Names a module imports but neither uses nor lists in its ``__all__``."""
     tree = ast.parse(source)

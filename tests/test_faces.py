@@ -58,13 +58,13 @@ def paper_faces():
 def max_cell_mass(design, counts, cells):
     """max a_i over a >= 0 with X'a = t', by one LP per cell on the full design."""
     xt = design.matrix.T
-    t_prime = xt @ (counts > 0).astype(np.float64)
+    problem = LinearProgram(xt, xt @ (counts > 0).astype(np.float64))
     sol = None
     out = []
     for i in cells:
         c = np.zeros(design.matrix.shape[0])
         c[i] = 1.0
-        sol = solve(LinearProgram(c, xt, t_prime), start=sol)
+        sol = solve(problem, c, start=sol)
         out.append(sol.objective_value)
     return np.array(out)
 
@@ -118,7 +118,7 @@ class TestAllPositive:
 
     def test_no_lp_makes_no_copy_of_the_design(self):
         # all-positive 2^12 table, all-two-way model: no LP, so no
-        # binarized statistic, no transposed design and no face-row copy
+        # binarized statistic, no LP constraints and no face-row copy
         names = "abcdefghijkl"
         counts = np.random.default_rng(12).poisson(3.0, 2**12) + 1
         table = ContingencyTable(tuple(FactorSpec(n, ("0", "1")) for n in names), counts)
@@ -224,7 +224,7 @@ class TestSpanClosure:
 
     def test_closure_builds_no_lp_inputs(self):
         # sparse 2^12 table, all-two-way model: the positive rows have
-        # full rank, so no LP, no transposed design and no binarized statistic
+        # full rank, so no LP, no LP constraints and no binarized statistic
         names = "abcdefghijkl"
         rng = np.random.default_rng([1, 12, 2])
         counts = np.where(rng.random(2**12) < 0.6, 0, rng.poisson(2.0, 2**12) + 1)
@@ -241,6 +241,54 @@ class TestSpanClosure:
         assert len(fs.span_closed) == len(np.flatnonzero(table.counts == 0)) > 0.5 * table.n_cells
         assert fs.face_dimension == design.d == 79
         assert peak < design.matrix.nbytes
+
+
+class TestLoopLps:
+    @pytest.mark.parametrize("seed, k, iterations", [(0, 8, 1), (1, 8, 2), (1, 9, 2)])
+    def test_each_lp_runs_to_its_optimum(self, monkeypatch, seed, k, iterations):
+        # the loop's LPs are not stopped early: each one's objective is
+        # that of a cold solve of the same objective
+        solved = []
+
+        def recorded(problem, objective, *args, **kwargs):
+            sol = solve(problem, objective, *args, **kwargs)
+            solved.append((problem, objective, sol))
+            return sol
+
+        monkeypatch.setattr(lpmod, "solve", recorded)
+        table, model = three_way_instance(seed, k)
+        assert find_facial_set(table, model).iterations == len(solved) == iterations
+        for problem, objective, sol in solved:
+            assert sol.objective_value == pytest.approx(solve(problem, objective).objective_value, abs=1e-9)
+
+
+class TestOneProgramPerCall:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(lpmod, "LinearProgram", lambda *args: built.append(args) or LinearProgram(*args))
+        return built
+
+    def test_oracle_builds_one_for_all_its_lps(self, built, paper_faces):
+        table, model, design, _fs = paper_faces[0]
+        assert per_cell_oracle(table, model, design=design).iterations == 105
+        assert len(built) == 1
+
+    def test_find_builds_one_when_it_runs_lps(self, built):
+        table, model = three_way_instance(1)
+        assert find_facial_set(table, model).iterations == 2
+        assert len(built) == 1
+
+    def test_find_builds_none_without_lps(self, built, paper_faces):
+        cases = [
+            (make_table((2, 2, 2), [3, 1, 2, 1, 1, 4, 1, 2]), parse_generators("[ab][bc][ac]"), "initial_A_empty"),
+            (make_table((2, 2), [1, 1, 0, 0]), parse_generators("[a][b]"), "all_zeros_presolved"),
+            (*paper_faces[0][:2], "all_cells_in_face"),  # every zero presolved or span-closed
+        ]
+        for table, model, termination in cases:
+            fs = find_facial_set(table, model)
+            assert (fs.iterations, fs.termination) == (0, termination)
+        assert built == []
 
 
 class TestErrors:
@@ -343,9 +391,9 @@ class TestOracle:
     def test_every_yes_carries_its_witness(self, monkeypatch, paper_faces, table3x3x3):
         solved = []
 
-        def recorded(problem, *args, **kwargs):
-            sol = solve(problem, *args, **kwargs)
-            solved.append((int(np.argmax(problem.objective)), sol))
+        def recorded(problem, objective, *args, **kwargs):
+            sol = solve(problem, objective, *args, **kwargs)
+            solved.append((int(np.argmax(objective)), sol))
             return sol
 
         monkeypatch.setattr(lpmod, "solve", recorded)

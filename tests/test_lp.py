@@ -125,27 +125,30 @@ def random_phase2_tableau(rng, m, n, integer=False):
     return T, basis
 
 
-def facial_lp(table, model, active):
-    design = build_design(table, model)
-    t_prime = design.matrix.T @ (table.counts > 0)
-    c = np.zeros(table.n_cells)
-    c[list(active)] = 1.0
-    return LinearProgram(c, design.matrix.T, t_prime), t_prime
+def facial_lp(table, model):
+    """The facial constraints X'a = t' of ``table`` under ``model``."""
+    xt = build_design(table, model).matrix.T
+    return LinearProgram(xt, xt @ (table.counts > 0))
+
+
+def indicator(n, cells):
+    """The objective of total mass on ``cells`` among n variables."""
+    c = np.zeros(n)
+    c[list(cells)] = 1.0
+    return c
 
 
 class TestFacialLps:
     def test_haberman_zero_objective(self, haberman_table):
-        model = parse_generators("[ab][ac][bc]")
-        lp, t_prime = facial_lp(haberman_table, model, [0, 7])
-        sol = solve(lp)
+        lp = facial_lp(haberman_table, parse_generators("[ab][ac][bc]"))
+        sol = solve(lp, indicator(haberman_table.n_cells, [0, 7]))
         assert abs(sol.objective_value) <= 1e-8
-        assert sol.objective_value <= t_prime[0] + 1e-8
+        assert sol.objective_value <= lp.rhs[0] + 1e-8
 
     def test_3x3x3_first_round_rescues_131(self, table3x3x3):
-        model = parse_generators("[ab][bc][ac]")
+        lp = facial_lp(table3x3x3, parse_generators("[ab][bc][ac]"))
         zero_cells = np.flatnonzero(table3x3x3.counts == 0)
-        lp, t_prime = facial_lp(table3x3x3, model, zero_cells)
-        sol = solve(lp)
+        sol = solve(lp, indicator(table3x3x3.n_cells, zero_cells))
         assert sol.objective_value > 1e-8
         cell_131 = np.ravel_multi_index((0, 2, 0), table3x3x3.shape)
         assert sol.point[cell_131] > 1e-8
@@ -154,9 +157,8 @@ class TestFacialLps:
         assert (sol.point[others] <= 1e-8).all()
 
     def test_zero_objective_feasible_system(self, haberman_table):
-        model = parse_generators("[ab][ac][bc]")
-        lp, _ = facial_lp(haberman_table, model, [])
-        sol = solve(lp)
+        lp = facial_lp(haberman_table, parse_generators("[ab][ac][bc]"))
+        sol = solve(lp, indicator(haberman_table.n_cells, []))
         assert sol.objective_value == 0.0
         assert np.abs(lp.constraint_matrix @ sol.point - lp.rhs).max() <= 1e-9
 
@@ -165,24 +167,24 @@ class TestEdgeCases:
     def test_negative_rhs_rejected(self):
         # x1 + x2 = -1: solve takes rhs >= 0 only
         with pytest.raises(ValueError, match="negative rhs"):
-            LinearProgram([1.0, 1.0], [[1.0, 1.0]], [-1.0])
+            LinearProgram([[1.0, 1.0]], [-1.0])
 
     def test_infeasible_two_rows(self):
-        lp = LinearProgram([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+        lp = LinearProgram([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
         with pytest.raises(lpmod.SimplexError, match="phase 1: infeasible"):
-            solve(lp)
+            solve(lp, [0.0, 0.0])
 
     def test_unbounded(self):
         # max x1 subject to x1 - x2 = 0
-        lp = LinearProgram([1.0, 0.0], [[1.0, -1.0]], [0.0])
+        lp = LinearProgram([[1.0, -1.0]], [0.0])
         with pytest.raises(lpmod.SimplexError, match="unbounded"):
-            solve(lp)
+            solve(lp, [1.0, 0.0])
 
     def test_redundant_row_handled(self):
         # the second row is twice the first: outside solve's contract
-        lp = LinearProgram([1.0, 0.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0])
+        lp = LinearProgram([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0])
         with pytest.raises(lpmod.SimplexError, match="linearly dependent"):
-            solve(lp)
+            solve(lp, [1.0, 0.0])
 
     def test_redundant_rows_without_a_zero_row(self):
         # three-way 2^8 facial LP without the presolved cells' columns:
@@ -194,37 +196,43 @@ class TestEdgeCases:
         keep = np.ones(table.n_cells, dtype=bool)
         keep[presolved] = False
         x = design.matrix[keep]
-        lp = LinearProgram((table.counts[keep] == 0).astype(float), x.T, x.T @ (table.counts[keep] > 0))
+        lp = LinearProgram(x.T, x.T @ (table.counts[keep] > 0))
         assert (lp.n_constraints, np.linalg.matrix_rank(x)) == (93, 90)
         with pytest.raises(lpmod.SimplexError, match=r"constraint \d+ is linearly dependent") as err:
-            solve(lp)
+            solve(lp, (table.counts[keep] == 0).astype(float))
         # the error names a constraint the others span, not a tableau position
         k = int(re.search(r"constraint (\d+)", str(err.value)).group(1))
         assert np.linalg.matrix_rank(np.delete(x.T, k, axis=0)) == 90
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            LinearProgram([1.0], [[1.0, 2.0]], [1.0])
+            LinearProgram([[1.0, 2.0]], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            solve(LinearProgram([[1.0, 2.0]], [1.0]), [1.0])
 
     def test_callers_arrays_stay_writable(self):
-        # the LP freezes views and does not copy a C-contiguous float64 matrix
-        c, a_mat, b = np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0])
-        lp = LinearProgram(c, a_mat, b)
-        assert np.shares_memory(lp.constraint_matrix, a_mat)
-        for arr in (c, a_mat, b):
-            arr[0] = 2.0
-        for arr in (lp.objective, lp.constraint_matrix, lp.rhs):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 3.0
+        # the LP freezes views and copies no float64 matrix, C-contiguous
+        # or the transpose of one, as faces passes a design's
+        for a_mat in (np.array([[1.0, 1.0]]), np.array([[1.0], [1.0]]).T):
+            b = np.array([1.0])
+            lp = LinearProgram(a_mat, b)
+            assert np.shares_memory(lp.constraint_matrix, a_mat)
+            for arr in (a_mat, b):
+                arr[0] = 2.0
+            for arr in (lp.constraint_matrix, lp.rhs):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 3.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            LinearProgram([np.inf, 1.0], [[1.0, 2.0]], [1.0])
+            LinearProgram([[np.inf, 2.0]], [1.0])
+        with pytest.raises(ValueError):
+            solve(LinearProgram([[1.0, 2.0]], [1.0]), [np.inf, 1.0])
 
     def test_negative_rhs_feasible(self):
         # -x1 + x2 = 3, x1 + x2 = 5 -> x = (1, 4)
-        lp = LinearProgram([1.0, 0.0], [[-1.0, 1.0], [1.0, 1.0]], [3.0, 5.0])
-        sol = solve(lp)
+        lp = LinearProgram([[-1.0, 1.0], [1.0, 1.0]], [3.0, 5.0])
+        sol = solve(lp, [1.0, 0.0])
         assert np.allclose(sol.point, [1.0, 4.0], atol=1e-9)
 
 
@@ -340,10 +348,10 @@ class TestSimplex:
 
 class TestDeterminism:
     def test_same_support_across_solves(self, table3x3x3):
-        model = parse_generators("[ab][bc][ac]")
-        lp, _ = facial_lp(table3x3x3, model, np.flatnonzero(table3x3x3.counts == 0))
-        s1 = solve(lp)
-        s2 = solve(lp)
+        lp = facial_lp(table3x3x3, parse_generators("[ab][bc][ac]"))
+        c = indicator(table3x3x3.n_cells, np.flatnonzero(table3x3x3.counts == 0))
+        s1 = solve(lp, c)
+        s2 = solve(lp, c)
         assert np.array_equal(s1.point, s2.point)
 
 
@@ -364,7 +372,7 @@ class TestAgainstBruteForce:
             # force enumeration is a complete oracle
             expect = brute_force_max(c, a_mat, b)
             assert expect is not None
-            sol = solve(LinearProgram(c, a_mat, b))
+            sol = solve(LinearProgram(a_mat, b), c)
             assert sol.objective_value == pytest.approx(expect, abs=1e-8)
             checked += 1
 
@@ -392,18 +400,18 @@ def no_phase1(*args):
 
 class TestWarmStart:
     def test_3x3x3_facial_lps(self, table3x3x3, monkeypatch):
-        model = parse_generators("[ab][bc][ac]")
+        lp = facial_lp(table3x3x3, parse_generators("[ab][bc][ac]"))
         zero_cells = np.flatnonzero(table3x3x3.counts == 0)
         cell_131 = np.ravel_multi_index((0, 2, 0), table3x3x3.shape)
         # the facial loop's two objectives, then the oracle's per-cell ones
         objectives = [zero_cells, [i for i in zero_cells if i != cell_131]] + [[i] for i in zero_cells]
-        prev = solve(facial_lp(table3x3x3, model, objectives[0])[0])
+        prev = solve(lp, indicator(table3x3x3.n_cells, objectives[0]))
         for active in objectives[1:]:
-            lp, _ = facial_lp(table3x3x3, model, active)
-            cold = solve(lp)
+            c = indicator(table3x3x3.n_cells, active)
+            cold = solve(lp, c)
             with monkeypatch.context() as mp:
                 mp.setattr(lpmod, "_phase1", no_phase1)
-                warm = solve(lp, start=prev)
+                warm = solve(lp, c, start=prev)
             assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
             assert np.abs(lp.constraint_matrix @ warm.point - lp.rhs).max() <= 1e-9
             prev = warm
@@ -412,88 +420,49 @@ class TestWarmStart:
         rng = np.random.default_rng(42)
         for _ in range(60):
             a_mat, b = random_bounded_lp(rng)
-            prev = solve(LinearProgram(rng.normal(size=a_mat.shape[1]), a_mat, b))
+            lp = LinearProgram(a_mat, b)
+            prev = solve(lp, rng.normal(size=a_mat.shape[1]))
             for _ in range(3):
                 c = rng.normal(size=a_mat.shape[1])
-                lp = LinearProgram(c, a_mat, b)
-                cold = solve(lp)
+                cold = solve(lp, c)
                 with monkeypatch.context() as mp:
                     mp.setattr(lpmod, "_phase1", no_phase1)
-                    warm = solve(lp, start=prev)
+                    warm = solve(lp, c, start=prev)
                 expect = brute_force_max(c, a_mat, b)
                 assert warm.objective_value == pytest.approx(expect, abs=1e-8)
                 assert cold.objective_value == pytest.approx(expect, abs=1e-8)
                 prev = warm
 
-    def test_start_infeasible_for_new_rhs_runs_phase1(self):
-        rng = np.random.default_rng(11)
-        fallbacks = 0
-        for _ in range(60):
-            a_mat, b = random_bounded_lp(rng)
-            a_new, b_new = nonnegative_rhs(a_mat, random_feasible_rhs(rng, a_mat))
-            prev = solve(LinearProgram(rng.normal(size=a_mat.shape[1]), a_mat, b))
-            fallbacks += bool((np.linalg.solve(a_new[:, prev.basis], b_new) < -1e-8).any())
-            c = rng.normal(size=a_mat.shape[1])
-            sol = solve(LinearProgram(c, a_new, b_new), start=prev)
-            assert sol.objective_value == pytest.approx(brute_force_max(c, a_new, b_new), abs=1e-8)
-        assert fallbacks > 0
+    def test_start_from_another_program_raises(self):
+        # a start belongs to the LinearProgram it solved: one built from
+        # the very same arrays, or from other constraints, is another
+        a_mat, b = np.array([[1.0, 1.0]]), np.array([1.0])
+        lp = LinearProgram(a_mat, b)
+        sol = solve(lp, [1.0, 0.0])
+        for other in (LinearProgram(a_mat, b), LinearProgram(a_mat, 2.0 * b)):
+            with pytest.raises(ValueError, match="another LinearProgram"):
+                solve(other, [0.0, 1.0], start=sol)
+        assert solve(lp, [0.0, 1.0], start=sol).objective_value == 1.0
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_chain_equals_the_chain_inverted_afresh(self, monkeypatch, seed):
+    def test_chain_equals_the_chain_inverted_afresh(self, seed):
         # three-way 2^8: the loop's first LP, then per-cell LPs stopped as
-        # in per_cell_oracle; each warm start copies the last inverse
-        # instead of inverting its basis, and nothing else changes
+        # in per_cell_oracle; each warm start copies the last inverse, and
+        # every inverse returned is its basis inverted afresh, bit for bit
         table, model = three_way_instance(seed)
-        xt = np.ascontiguousarray(build_design(table, model).matrix.T)
-        t_prime = xt @ (table.counts > 0)
+        lp = facial_lp(table, model)
         zero = table.counts == 0
         chain = [(zero.astype(float), None)]
         chain += [(np.eye(1, table.n_cells, i)[0], lpmod.SUPPORT_TOL) for i in np.flatnonzero(zero)[:60]]
-        inversions = []
-        invert = lpmod._invert
-        monkeypatch.setattr(lpmod, "_invert", lambda *args: inversions.append(1) or invert(*args))
-
-        def run():
-            inversions.clear()
-            sol, out = None, []
-            for c, stop_above in chain:
-                sol = solve(LinearProgram(c, xt, t_prime), start=sol, stop_above=stop_above)
-                out.append(sol)
-            return out, len(inversions)
-
-        carried, n_carried = run()
-        monkeypatch.setattr(lpmod, "_same_array", lambda x, y: False)
-        fresh, n_fresh = run()
-        assert n_fresh == n_carried + len(chain) - 1
-        for got, want in zip(carried, fresh):
-            assert got.pivots == want.pivots
-            assert np.array_equal(got.basis, want.basis)
-            assert np.array_equal(got.point, want.point)
-            assert np.array_equal(got.inverse, want.inverse)
-        assert sum(sol.pivots for sol in carried[1:]) > 0
-
-    def test_start_from_other_constraints_inverts_afresh(self, monkeypatch):
-        # equal values in other memory, another rhs on the same matrix
-        # (another row of the array that holds the first rhs), and other
-        # constraints of the same shape
-        rng = np.random.default_rng(5)
-        inverted = []
-        invert = lpmod._invert
-        monkeypatch.setattr(lpmod, "_invert", lambda M, b, basis: inverted.append(basis.copy()) or invert(M, b, basis))
-        for _ in range(40):
-            a_mat, b = random_bounded_lp(rng)
-            rhs = np.stack((b, 2.0 * b))
-            prev = solve(LinearProgram(rng.normal(size=a_mat.shape[1]), a_mat, rhs[0]))
-            others = [(a_mat.copy(), b.copy()), (a_mat, rhs[1]), nonnegative_rhs(a_mat, random_feasible_rhs(rng, a_mat))]
-            for a_new, b_new in others:
-                c = rng.normal(size=a_mat.shape[1])
-                inverted.clear()
-                sol = solve(LinearProgram(c, a_new, b_new), start=prev)
-                assert np.array_equal(inverted[0], prev.basis)
-                assert sol.objective_value == pytest.approx(brute_force_max(c, a_new, b_new), abs=1e-8)
+        sol, pivots = None, []
+        for c, stop_above in chain:
+            sol = solve(lp, c, start=sol, stop_above=stop_above)
+            assert np.array_equal(sol.inverse, lpmod._invert(lp.constraint_matrix, lp.rhs, sol.basis))
+            pivots.append(sol.pivots)
+        assert sum(pivots[1:]) > 0
 
     def test_solution_inverse_is_read_only(self):
-        sol = solve(LinearProgram([1.0, 0.0], [[1.0, 1.0]], [1.0]))
+        sol = solve(LinearProgram([[1.0, 1.0]], [1.0]), [1.0, 0.0])
         with pytest.raises(ValueError, match="read-only"):
             sol.inverse[0, 0] = 2.0
 
@@ -503,20 +472,17 @@ class TestWarmStart:
         # about 1.5 phase-2 tableaux' worth at a rebuild; a copy of the
         # constraints would add one more.
         table, model = three_way_instance(0)
-        xt = np.ascontiguousarray(build_design(table, model).matrix.T)
-        t_prime = xt @ (table.counts > 0)
+        lp = facial_lp(table, model)
         zero = table.counts == 0
-        cold = solve(LinearProgram(zero.astype(float), xt, t_prime))
-        c = np.zeros(table.n_cells)
-        c[np.flatnonzero(zero)[0]] = 1.0
-        lp = LinearProgram(c, xt, t_prime)
+        cold = solve(lp, zero.astype(float))
+        c = indicator(table.n_cells, np.flatnonzero(zero)[:1])
         tracemalloc.start()
         try:
-            warm = solve(lp, start=cold)
+            warm = solve(lp, c, start=cold)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        m, n = xt.shape
+        m, n = lp.n_constraints, lp.n_vars
         assert warm.pivots > 0
         assert peak <= 2 * 8 * (m + 1) * (n + 1)
 
@@ -525,15 +491,15 @@ class TestWarmStart:
         # tableau's worth) and the d x d inverses of a rebuild, about two
         # tableaux in all; a tableau pivoted in place would add one more
         table, model = three_way_instance(0)
-        xt = np.ascontiguousarray(build_design(table, model).matrix.T)
-        lp = LinearProgram((table.counts == 0).astype(float), xt, xt @ (table.counts > 0))
+        lp = facial_lp(table, model)
+        c = (table.counts == 0).astype(float)
         tracemalloc.start()
         try:
-            cold = solve(lp)
+            cold = solve(lp, c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        m, n = xt.shape
+        m, n = lp.n_constraints, lp.n_vars
         assert cold.pivots > 0
         assert peak <= 3 * 8 * (m + 1) * (n + m + 1)
 
@@ -546,15 +512,15 @@ class TestStopAbove:
         n_stopped = 0
         for _ in range(60):
             a_mat, b = random_bounded_lp(rng)
-            prev = solve(LinearProgram(rng.normal(size=a_mat.shape[1]), a_mat, b))
+            lp = LinearProgram(a_mat, b)
+            prev = solve(lp, rng.normal(size=a_mat.shape[1]))
             c = rng.normal(size=a_mat.shape[1])
-            lp = LinearProgram(c, a_mat, b)
-            best = solve(lp, start=prev)
+            best = solve(lp, c, start=prev)
             v0, v = float(c @ prev.point), best.objective_value
             # each bar at least 1e-6 from v, far above the roundoff of objectives
             bars = [v0 - 1e-6, v - 1e-6, v + 1e-6] + [(v0 + v) / 2] * (v - v0 > 2e-6)
             for s in bars:
-                sol = solve(lp, start=prev, stop_above=s)
+                sol = solve(lp, c, start=prev, stop_above=s)
                 if v > s:
                     assert sol.objective_value > s
                     assert sol.pivots <= best.pivots
@@ -572,14 +538,15 @@ class TestStopAbove:
         while n_cases < 20:
             a_mat, b = random_bounded_lp(rng)
             n = a_mat.shape[1]
-            prev = solve(LinearProgram(rng.normal(size=n), a_mat, b))
+            lp = LinearProgram(a_mat, b)
+            prev = solve(lp, rng.normal(size=n))
             for i in np.flatnonzero(prev.point > 0):
-                lp = LinearProgram(np.eye(1, n, i)[0], a_mat, b)
+                c = np.eye(1, n, i)[0]
                 v = prev.point[i]
-                if solve(lp).objective_value <= v + 1e-6:
+                if solve(lp, c).objective_value <= v + 1e-6:
                     continue
-                below = solve(lp, start=prev, stop_above=np.nextafter(v, -np.inf))
+                below = solve(lp, c, start=prev, stop_above=np.nextafter(v, -np.inf))
                 assert below.pivots == 0 and np.array_equal(below.point, prev.point)
-                at = solve(lp, start=prev, stop_above=v)
+                at = solve(lp, c, start=prev, stop_above=v)
                 assert at.pivots > 0 and at.objective_value > v
                 n_cases += 1
