@@ -15,6 +15,7 @@ subset of a term is itself a term.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 __all__ = ["Term", "INTERCEPT", "ModelFormula", "FormulaError", "parse_formula", "parse_generators"]
@@ -54,9 +55,9 @@ class ModelFormula:
             raise FormulaError("term set is not hierarchically closed")
         object.__setattr__(self, "terms", terms)
 
-    @property
+    @cached_property
     def generators(self):
-        """The inclusion-maximal terms."""
+        """The inclusion-maximal terms, computed once per model; equality and hash stay on the fields."""
         nonempty = [t for t in self.terms if t]
         maximal = [t for t in nonempty if not any(t < u for u in nonempty)]
         return tuple(sorted(maximal, key=term_sort_key))

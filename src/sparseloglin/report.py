@@ -148,12 +148,14 @@ def render_text(report):
         out.append(f"max log-likelihood: {_fmt(report['max_loglik'])}")
         out.append("coefficients:")
         lab_w = max(len(c["label"]) for c in report["coefficients"])
+        # an estimate within Newton's step tolerance of 0 is 0, not rounding noise
+        zero = 1e-8 * (1.0 + max((abs(c["estimate"]) for c in report["coefficients"] if not c["aliased"]), default=0))
         out.append(f"  {'column'.ljust(lab_w)}  {'estimate'.rjust(12)}  {'std.error'.rjust(12)}")
         for c in report["coefficients"]:
             if c["aliased"]:
                 out.append(f"  {c['label'].ljust(lab_w)}  {'aliased'.rjust(12)}  {''.rjust(12)}")
             else:
-                est = _fmt(c["estimate"], ".6g").rjust(12)
+                est = _fmt(0.0 if abs(c["estimate"]) <= zero else c["estimate"], ".6g").rjust(12)
                 se = _fmt(c["std_error"], ".6g").rjust(12)
                 out.append(f"  {c['label'].ljust(lab_w)}  {est}  {se}")
         out.append(f"residual df: {report['residual_df']}")

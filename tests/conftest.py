@@ -4,9 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sparseloglin import ContingencyTable, FactorSpec, parse_generators
 from sparseloglin.datasets import example3x3x3, haberman
+
+# Every session draws the same examples, and no example fails for time.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +28,28 @@ def margin(table, factors):
     """Counts summed over the factors not in ``factors``, flat, in table factor order."""
     drop = tuple(k for k, name in enumerate(table.factor_names) if name not in factors)
     return table.counts.reshape(table.shape).sum(axis=drop).reshape(-1)
+
+
+def presolve_reference(table, model):
+    """``faces._presolve``'s (pairs, mask), by one ``any`` reduction per generator over the binarized cube.
+
+    An independent reference: it reads every cell once per generator,
+    where ``_presolve`` reads only the positive cells' margin codes.
+    """
+    names = table.factor_names
+    positive = (table.counts > 0).reshape(table.shape)
+    first = np.full(table.n_cells, -1)
+    gens = model.generators
+    for j, gen in enumerate(gens):
+        others = tuple(k for k, name in enumerate(names) if name not in gen)
+        nonzero = positive.any(axis=others, keepdims=True)
+        hit = ~np.broadcast_to(nonzero, table.shape).reshape(-1) & (first < 0)
+        first[hit] = j
+    off_face = first >= 0
+    pairs = tuple(
+        (int(i), tuple(name for name in names if name in gens[first[i]])) for i in np.flatnonzero(off_face)
+    )
+    return pairs, off_face
 
 
 def table_csv(table):

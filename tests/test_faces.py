@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sparseloglin import (
     ContingencyTable,
@@ -10,14 +12,25 @@ from sparseloglin import (
     build_design,
     find_facial_set,
     mle_exists,
+    parse_formula,
     parse_generators,
     per_cell_oracle,
 )
 from sparseloglin import lp as lpmod
-from sparseloglin.datasets import rochdale
+from sparseloglin.datasets import example3x3x3, haberman, rochdale
+from sparseloglin.faces import _presolve
+from sparseloglin.formula import ModelFormula, Term, hierarchical_closure
 from sparseloglin.lp import SUPPORT_TOL, LinearProgram, solve
 
-from conftest import highs_facial_set, iter_instances, make_table, margin, relabel, three_way_instance
+from conftest import (
+    highs_facial_set,
+    iter_instances,
+    make_table,
+    margin,
+    presolve_reference,
+    relabel,
+    three_way_instance,
+)
 from test_acceptance import BIC_ROWS, CBIC_ROWS
 
 # The 9 distinct models of the reference cBIC and BIC tables, in table
@@ -192,6 +205,93 @@ class TestPresolve:
         assert oracle.iterations == 165 - 60 == 105
         assert oracle.presolved == fs.presolved
         assert np.array_equal(oracle.in_face, fs.in_face)
+
+
+def assert_presolve_matches_reference(table, model):
+    pairs, mask = _presolve(table, model)
+    ref_pairs, ref_mask = presolve_reference(table, model)
+    assert pairs == ref_pairs
+    assert mask.dtype == bool and np.array_equal(mask, ref_mask)
+    return pairs
+
+
+@st.composite
+def presolve_cases(draw):
+    """1-5 factors of 2-4 levels, a random hierarchical model and a zero pattern with a positive cell."""
+    shape = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=5)))
+    names = "abcde"[: len(shape)]
+    gens = draw(st.lists(st.sets(st.sampled_from(names), min_size=1), max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.where(rng.random(int(np.prod(shape))) < draw(st.sampled_from([0.2, 0.6, 0.9, 1.0])), 0, 1)
+    counts[draw(st.integers(0, counts.size - 1))] = 3
+    return make_table(shape, counts), ModelFormula("freq", hierarchical_closure(Term(g) for g in gens))
+
+
+class TestPresolveReference:
+    """``_presolve`` follows the positive cells; the per-generator loop it replaced is the reference."""
+
+    def test_sweep_paper_models_3x3x3_and_haberman(self, paper_faces):
+        n_cells = sum(len(assert_presolve_matches_reference(t, m)) for t, m in iter_instances(1500))
+        assert n_cells == 2834
+        assert [len(assert_presolve_matches_reference(t, m)) for t, m, _d, _f in paper_faces] == PAPER_PRESOLVED
+        for table in (example3x3x3(), haberman()):
+            for gens in ("[a][b][c]", "[ab][c]", "[ab][ac][bc]", "[abc]"):
+                assert_presolve_matches_reference(table, parse_generators(gens))
+
+    @pytest.mark.parametrize("p0", [0.5, 0.85, 0.97])
+    @pytest.mark.parametrize("k", range(8, 13))
+    def test_three_way(self, k, p0):
+        for seed in range(4):
+            assert_presolve_matches_reference(*three_way_instance(seed, k, p0))
+
+    @given(presolve_cases())
+    def test_random_models_and_zero_patterns(self, case):
+        assert_presolve_matches_reference(*case)
+
+    def test_intercept_only_presolves_nothing(self):
+        table = make_table((2, 3), [0, 0, 0, 0, 0, 5])
+        pairs, mask = _presolve(table, parse_formula("freq ~ 1"))
+        assert pairs == () and not mask.any()
+        assert_presolve_matches_reference(table, parse_formula("freq ~ 1"))
+
+    def test_main_effects_only(self):
+        table = make_table((2, 3), [1, 0, 2, 0, 0, 0])  # a=1 and b=1 are zero margins
+        pairs = assert_presolve_matches_reference(table, parse_generators("[a][b]"))
+        assert pairs == ((1, ("b",)), (3, ("a",)), (4, ("a",)), (5, ("a",)))
+
+    def test_saturated_model_presolves_every_zero(self):
+        table, _ = three_way_instance(2, 8, 0.85)
+        pairs = assert_presolve_matches_reference(table, parse_generators("[abcdefgh]"))
+        assert [cell for cell, _ in pairs] == np.flatnonzero(table.counts == 0).tolist()
+        assert {gen for _, gen in pairs} == {tuple("abcdefgh")}
+
+    def test_one_positive_cell(self):
+        counts = np.zeros(3 * 4, dtype=np.int64)
+        counts[np.ravel_multi_index((1, 2), (3, 4))] = 7
+        table = make_table((3, 4), counts)
+        pairs = assert_presolve_matches_reference(table, parse_generators("[a][b]"))
+        assert len(pairs) == 11
+        assert [gen for cell, gen in pairs if cell // 4 == 1] == [("b",)] * 3
+        assert {gen for cell, gen in pairs if cell // 4 != 1} == {("a",)}
+
+    def test_mixed_levels(self):
+        shape = (3, 4, 2, 5)
+        rng = np.random.default_rng(3425)
+        table = make_table(shape, np.where(rng.random(120) < 0.8, 0, rng.poisson(2.0, 120) + 1))
+        for gens in ("[ab][bcd][ad]", "[abc][d]", "[ac][bd]", "[abcd]"):
+            assert_presolve_matches_reference(table, parse_generators(gens))
+
+    @pytest.mark.parametrize("p0", [0.5, 0.97])
+    def test_peak_memory_at_4096_cells(self, p0):
+        table, model = three_way_instance(0, 12, p0)
+        model.generators  # computed once per model, before the trace
+        tracemalloc.start()
+        try:
+            _presolve(table, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 class TestSpanClosure:

@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseloglin import FormulaError, ModelFormula, parse_formula, parse_generators
+from sparseloglin.datasets import haberman
+from sparseloglin.design import design_columns
 from sparseloglin.formula import INTERCEPT, Term, hierarchical_closure
 
 
@@ -100,3 +102,26 @@ class TestClosureProperties:
     def test_canonical_order_by_size_then_name(self):
         model = parse_generators("[ba][c]")
         assert model.canonical_terms() == [INTERCEPT, Term("a"), Term("b"), Term("c"), Term("ab")]
+
+
+class TestGeneratorsCache:
+    def test_second_access_returns_the_same_tuple(self):
+        model = parse_generators("[ab][bc][ac]")
+        assert model.generators is model.generators
+        assert model.generators == (Term("ab"), Term("ac"), Term("bc"))
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        cached, fresh = parse_generators("[ab][c]"), parse_formula("freq ~ a*b + c")
+        cached.generators
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert "generators" in vars(cached) and "generators" not in vars(fresh)
+        assert repr(cached) == repr(fresh)
+
+    def test_design_columns_cache_hits_across_equal_models(self):
+        factors = haberman().factors
+        first = design_columns(factors, parse_generators("[ab][ac][bc]"))
+        hits = design_columns.cache_info().hits
+        model = parse_formula("freq ~ a*b + a*c + b*c")
+        model.generators
+        assert design_columns(factors, model) is first
+        assert design_columns.cache_info().hits == hits + 1

@@ -4,6 +4,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,3 +219,36 @@ class TestCellLabels:
             assert back.factor_names == table.factor_names
             assert back.label_columns() == table.label_columns(str)
             assert np.array_equal(back.counts, table.counts)
+
+
+class TestEstimateText:
+    """An estimate within Newton's step tolerance, 1e-8 (1 + max|estimate|), of 0 prints as 0."""
+
+    def test_exact_zero_prints_as_zero_and_json_keeps_the_float(self):
+        report, _, _ = analyse(example3x3x3(), "[ab][ac][bc]")
+        coef = next(c for c in report["coefficients"] if c["label"] == "b3:c2")
+        assert abs(coef["estimate"]) < 1e-12
+        assert "\n  b3:c2                   0       1.41621\n" in render_text(report)
+        assert json.loads(render_json(report))["coefficients"] == report["coefficients"]
+
+    def test_bound_scales_with_the_largest_estimate(self):
+        report, _, _ = analyse(haberman(), "[ab][ac][bc]")
+        coefs = [c for c in report["coefficients"] if not c["aliased"]]
+        bound = 1e-8 * (1 + max(abs(c["estimate"]) for c in coefs))
+        coefs[1]["estimate"], coefs[3]["estimate"] = -0.99 * bound, 1.01 * bound
+        rows = render_text(report).split("coefficients:\n")[1].split("residual df:")[0].splitlines()[1:]
+        estimates = dict(row.split()[:2] for row in rows)
+        assert estimates[coefs[1]["label"]] == "0"
+        assert estimates[coefs[3]["label"]] == f"{1.01 * bound:.6g}"
+
+    def test_text_is_the_same_under_two_openblas_core_types(self):
+        run = "import sys; from sparseloglin import cli; sys.exit(cli.main(sys.argv[1:]))"
+        args = ["--dataset", "example3x3x3", "--formula", "[ab][ac][bc]"]
+        texts = []
+        for core in ("Haswell", "Sandybridge"):
+            env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+            done = subprocess.run([sys.executable, "-c", run, *args], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            texts.append(done.stdout)
+        assert texts[0] == texts[1]
+        assert "\n  b3:c2                   0       1.41621\n" in texts[0]
