@@ -228,7 +228,7 @@ def presolve_cases(draw):
 
 
 class TestPresolveReference:
-    """``_presolve`` follows the positive cells; the per-generator loop it replaced is the reference."""
+    """``_presolve``, which reads the positive cells' margin codes, against ``presolve_reference``."""
 
     def test_sweep_paper_models_3x3x3_and_haberman(self, paper_faces):
         n_cells = sum(len(assert_presolve_matches_reference(t, m)) for t, m in iter_instances(1500))
