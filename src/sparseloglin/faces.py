@@ -103,8 +103,10 @@ def _presolve(table, model):
     positive margins, so only zero cells are ever returned.
 
     The positive cells' coordinates times a stride matrix mark the
-    reached margin cells (in float64, exactly), max(n_cells, 2^16) codes
-    at a time; only a generator with an unreached one reads the zeros.
+    reached margin cells (in float64, exactly), at most 2^14 codes (or one
+    generator) at a time, so that malloc reuses each block's memory rather
+    than fault it in afresh; only a generator with an unreached one reads
+    the zeros.
     """
     first = np.full(table.n_cells, -1)  # each cell's first generator with a zero margin there
     if table.counts.all():
@@ -121,7 +123,7 @@ def _presolve(table, model):
         return np.column_stack((*np.unravel_index(cells, table.shape), np.ones_like(cells)))
 
     positive = coords(np.flatnonzero(table.counts)).astype(np.float64)
-    step = max(table.n_cells, 2**16) // len(positive)  # generators per block
+    step = max(2**14 // len(positive), 1)  # generators per block
     for lo in range(0, len(gens), step):
         reached[(positive @ strides[:, lo : lo + step]).astype(np.intp)] = True
     unreached = np.flatnonzero(~np.logical_and.reduceat(reached, strides[-1]))  # generators, in canonical order

@@ -5,18 +5,22 @@ the text rendering is formatted from the same dict, so the two always
 carry identical numbers.
 
 ``render_json`` returns exactly the bytes of ``json.dumps(report,
-indent=2) + "\n"``.  With ``indent`` set, json always runs its
-pure-Python encoder (the C encoder only serves compact output), which
-visits about 20 nested objects per ``face`` row.  So the ``face``,
-``presolved`` and ``span_closed`` rows, whose shapes ``build_report``
-fixes, are written by two formatters with json's own string escaping,
-``float.__repr__`` and the same indentation and separators; every
-other top-level value is still encoded by ``json.dumps``.
+indent=2) + "\n"``, whose pure-Python encoder (json's only one with
+``indent``) visits every value of every row.  So the row lists that
+``build_report`` shapes (``face``, ``presolved``, ``span_closed``,
+``coefficients``) are written by one formatter, column by column: each
+key's values are read at once, each distinct label is encoded once
+(joined raw when none needs escaping), floats go through
+``float.__repr__`` (None as ``null``), and one template of json's
+indentation and separators takes the whole list.  Every other value
+is encoded by ``json.dumps``.
 """
 
 import json
 import math
 from collections import Counter
+from itertools import chain, product, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -28,14 +32,11 @@ SCHEMA_VERSION = 1
 
 
 def _jsonable(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _jsonable_list(values):
     """A float array as a list, with None for each non-finite entry."""
-    values = np.asarray(values, dtype=np.float64)
     out = values.tolist()
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         out[i] = None
@@ -44,7 +45,7 @@ def _jsonable_list(values):
 
 def build_report(formula_text, table, design, facial_set, fit_result=None, oracle=None):
     """Assemble the run report as a plain dict."""
-    levels = list(map(list, zip(*table.label_columns(str))))
+    levels = list(map(list, product(*([str(v) for v in f.levels] for f in table.factors))))
     rows = zip(levels, table.counts.tolist(), facial_set.in_face.astype(np.int64).tolist())
     if fit_result is None:
         face_rows = [{"levels": lv, "count": n, "in_face": f} for lv, n, f in rows]
@@ -72,12 +73,8 @@ def build_report(formula_text, table, design, facial_set, fit_result=None, oracl
         "mle_exists": mle_exists(facial_set),
     }
     if oracle is not None:
-        disagree = np.flatnonzero(oracle.in_face != facial_set.in_face)
-        report["oracle_check"] = {
-            "agrees": bool(disagree.size == 0),
-            "differing_cells": [int(i) for i in disagree],
-            "lp_solves": oracle.iterations,
-        }
+        disagree = np.flatnonzero(oracle.in_face != facial_set.in_face).tolist()
+        report["oracle_check"] = {"agrees": not disagree, "differing_cells": disagree, "lp_solves": oracle.iterations}
     if fit_result is not None:
         report["max_loglik"] = _jsonable(fit_result.loglik)
         report["coefficients"] = [
@@ -98,18 +95,13 @@ def build_report(formula_text, table, design, facial_set, fit_result=None, oracl
 
 
 def _fmt(value, spec=".6f"):
-    if value is None:
-        return "NA"
-    return format(value, spec)
+    return "NA" if value is None else format(value, spec)
 
 
 def render_text(report):
     """Format a report dict for the terminal."""
-    out = []
-    out.append(f"formula: {report['formula']}")
-    out.append(f"model dimension: {report['model_dimension']}")
-    out.append(f"status: {report['status']}")
-    out.append(f"iterations: {report['iterations']}")
+    out = [f"formula: {report['formula']}", f"model dimension: {report['model_dimension']}"]
+    out += [f"status: {report['status']}", f"iterations: {report['iterations']}"]
     margins = Counter(tuple(p["generator"]) for p in report["presolved"])
     line = f"presolved: {len(report['presolved'])} zero cells"
     if margins:
@@ -118,21 +110,17 @@ def render_text(report):
     out.append(line)
     out.append(f"span closure: {len(report['span_closed'])} zero cells")
 
-    factors = report["factors"]
-    width = [max(len(f), max(len(r["levels"][k]) for r in report["face"])) for k, f in enumerate(factors)]
-    with_fitted = any("fitted" in r for r in report["face"])
-    out.append("face:")
-    header = "  " + "  ".join(f.rjust(w) for f, w in zip(factors, width))
-    header += "  " + "freq".rjust(6) + "  " + "in_face".rjust(7)
-    if with_fitted:
-        header += "  " + "fitted".rjust(10)
-    out.append(header)
-    for row in report["face"]:
-        cells = "  ".join(lv.rjust(w) for lv, w in zip(row["levels"], width))
-        line = "  " + cells + "  " + str(row["count"]).rjust(6) + "  " + str(row["in_face"]).rjust(7)
-        if with_fitted:
-            line += "  " + _fmt(row["fitted"], ".4f").rjust(10)
-        out.append(line)
+    face, factors = report["face"], report["factors"]
+    levels = list(zip(*map(itemgetter("levels"), face)))  # one column per factor
+    heads = [*factors, "freq", "in_face"]
+    widths = [*(max(len(f), *map(len, set(col))) for f, col in zip(factors, levels)), 6, 7]
+    columns = [*levels, map(itemgetter("count"), face), map(itemgetter("in_face"), face)]
+    if "fitted" in face[0]:
+        heads.append("fitted")
+        widths.append(10)
+        columns.append(map(_fmt, map(itemgetter("fitted"), face), repeat(".4f")))
+    row = "".join(f"  %{w}s" for w in widths)
+    out += ["face:", row % tuple(heads), *map(row.__mod__, zip(*columns))]
     out.append(f"face dimension: {report['face_dimension']}")
     out.append(f"cells in face: {report['n_face_cells']} of {len(report['face'])}")
     out.append(f"MLE exists: {'yes' if report['mle_exists'] else 'no'}")
@@ -159,48 +147,60 @@ def render_text(report):
                 se = _fmt(c["std_error"], ".6g").rjust(12)
                 out.append(f"  {c['label'].ljust(lab_w)}  {est}  {se}")
         out.append(f"residual df: {report['residual_df']}")
-        out.append(f"deviance: {_fmt(report['deviance'], '.6g')}")
+        # the deviance's term 2 sum(m - n) is -2 times the intercept's gradient entry, which Newton
+        # leaves up to 1e-10 max(1, N): a deviance within 2e-10 max(1, N) of 0 is 0, not noise
+        deviance = report["deviance"]
+        zero = deviance is not None and abs(deviance) <= 2e-10 * max(1, report["total"])
+        out.append(f"deviance: {_fmt(0.0 if zero else deviance, '.6g')}")
         out.append(f"bic: {_fmt(report['bic'])}")
         out.append(f"cbic: {_fmt(report['cbic'])}")
     return "\n".join(out) + "\n"
 
 
-def _face_json(rows):
-    """json.dumps(rows, indent=2) of build_report's face rows, nested one level."""
-    enc = json.encoder.encode_basestring_ascii
-    out = []
-    for row in rows:
-        text = '    {\n      "levels": [\n        ' + ",\n        ".join(map(enc, row["levels"]))
-        text += '\n      ],\n      "count": %d,\n      "in_face": %d' % (row["count"], row["in_face"])
-        if "fitted" in row:
-            fitted = row["fitted"]
-            text += ',\n      "fitted": ' + ("null" if fitted is None else float.__repr__(fitted))
-        out.append(text + "\n    }")
-    return "[\n" + ",\n".join(out) + "\n  ]"
+# build_report's row lists, and how _rows_json writes each key of their rows
+_ROW_LISTS = ("face", "presolved", "span_closed", "coefficients")
+_KINDS = {"levels": list, "generator": list, "label": str, "cell": int, "count": int, "in_face": int}
+_KINDS.update(dict.fromkeys(("fitted", "estimate", "std_error"), float), aliased=bool)
 
 
-def _cells_json(rows):
-    """json.dumps(rows, indent=2) of build_report's presolved or span_closed rows, nested one level."""
-    if not rows:
-        return "[]"
-    enc = json.encoder.encode_basestring_ascii
-    out = []
-    for row in rows:
-        text = '    {\n      "cell": %d,\n      "levels": [\n        ' % row["cell"] + ",\n        ".join(map(enc, row["levels"]))
-        if "generator" in row:
-            text += '\n      ],\n      "generator": [\n        ' + ",\n        ".join(map(enc, row["generator"]))
-        out.append(text + "\n      ]\n    }")
-    return "[\n" + ",\n".join(out) + "\n  ]"
+def _labels(column, kind):
+    """A column of labels (or of label lists, each joined by json's separator) as json text, and its quote."""
+    distinct = set().union(*column) if kind is list else set(column)
+    encoded = dict(zip(distinct, map(json.encoder.encode_basestring_ascii, distinct)))
+    if all(len(text) == len(label) + 2 for label, text in encoded.items()):  # nothing escaped: join raw
+        return (map('",\n        "'.join, column) if kind is list else column), '"'
+    get = encoded.__getitem__
+    return (map(",\n        ".join, map(map, repeat(get), column)) if kind is list else map(get, column)), ""
 
 
-_FORMATTERS = {"face": _face_json, "presolved": _cells_json, "span_closed": _cells_json}
+def _rows_json(rows):
+    """json.dumps(rows, indent=2) of one of build_report's row lists, nested one level, column by column."""
+    slots, columns = [], []
+    for key in rows[0]:
+        column, kind = list(map(itemgetter(key), rows)), _KINDS[key]
+        slot = "%s"
+        if kind is float and None in column:
+            column = ["null" if x is None else float.__repr__(x) for x in column]
+        elif kind is float:
+            column = map(float.__repr__, column)
+        elif kind is bool:
+            column = map({True: "true", False: "false"}.__getitem__, column)
+        elif kind is list and not all(column):  # an empty list is written "[]"
+            return json.dumps(rows, indent=2).replace("\n", "\n  ")
+        elif kind is not int:
+            column, quote = _labels(column, kind)
+            slot = quote + "%s" + quote if kind is str else "[\n        " + quote + "%s" + quote + "\n      ]"
+        slots.append(f'\n      "{key}": {slot}')
+        columns.append(column)
+    template = "[\n" + ",\n".join(repeat("    {" + ",".join(slots) + "\n    }", len(rows))) + "\n  ]"
+    return template % tuple(chain.from_iterable(zip(*columns)))
 
 
 def render_json(report):
     """A report of build_report as ``json.dumps(report, indent=2) + "\\n"``, byte for byte."""
-    items = []
+    parts = ["{\n  "]
     for key, value in report.items():
-        fmt = _FORMATTERS.get(key)
-        text = fmt(value) if fmt else json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}\n"
+        text = _rows_json(value) if key in _ROW_LISTS and value else json.dumps(value, indent=2).replace("\n", "\n  ")
+        parts += (json.dumps(key), ": ", text, ",\n  ")
+    parts[-1] = "\n}\n"
+    return "".join(parts)

@@ -244,6 +244,16 @@ class TestPresolveReference:
         for seed in range(4):
             assert_presolve_matches_reference(*three_way_instance(seed, k, p0))
 
+    def test_blocks_of_one_generator(self):
+        # more than 2^14 positive cells, so each block holds one generator's codes
+        counts = np.random.default_rng(5).poisson(1.0, 4**8)
+        counts.reshape((4,) * 8)[0, 0] = 0  # one zero [ab] margin cell
+        table = make_table((4,) * 8, counts)
+        gens = "".join(f"[{a}{b}]" for i, a in enumerate("abcdefgh") for b in "abcdefgh"[i + 1 :])
+        pairs = assert_presolve_matches_reference(table, parse_generators(gens))
+        assert np.count_nonzero(counts) > 2**14
+        assert [cell for cell, _ in pairs] == list(range(4**6)) and {gen for _, gen in pairs} == {("a", "b")}
+
     @given(presolve_cases())
     def test_random_models_and_zero_patterns(self, case):
         assert_presolve_matches_reference(*case)

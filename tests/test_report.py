@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sparseloglin import (
     ContingencyTable,
@@ -18,6 +20,7 @@ from sparseloglin import (
     build_design,
     find_facial_set,
     fit,
+    parse_formula,
     parse_generators,
     parse_table,
     per_cell_oracle,
@@ -97,6 +100,54 @@ def dense_table(k):
     return ContingencyTable(tuple(FactorSpec("abcdefghij"[i], ("0", "1")) for i in range(k)), counts)
 
 
+# Labels json writes as they are, and pieces of labels it must escape:
+# quotes, backslashes, control characters, non-ASCII text, and the
+# separators and indentation of the report's own rows.
+PLAIN_LABELS = st.one_of(
+    st.text("ab01 ,:[]{}%-", max_size=3), st.integers(-3, 12), st.booleans(), st.sampled_from(["null", "%s", "%d"])
+)
+ESCAPED_PIECES = ['"', "\\", "\x00", "\t", "\x1f", "\x7f", "\u00e9", "\u65e5\u672c", "\U0001d11e", ", ", ',\n        "', "\n      ],"]
+ESCAPED_LABELS = st.one_of(st.lists(st.sampled_from(ESCAPED_PIECES), min_size=1, max_size=3).map("".join), PLAIN_LABELS)
+
+
+def needs_escape(label):
+    return json.dumps(label) != f'"{label}"'
+
+
+@st.composite
+def drawn_reports(draw, labels):
+    """A report of a random small table: 1-3 factors, a random model, with or without a fit and an oracle.
+
+    With ``labels`` ESCAPED_LABELS the first factor's last level, which
+    names design columns, is one json must escape; drawn fitted means
+    include NaN and +-inf.
+    """
+    names = "abc"[: draw(st.integers(1, 3))]
+    factors = []
+    for name in names:
+        levels = draw(st.lists(labels, min_size=2, max_size=3, unique_by=(str, lambda v: v)))
+        if labels is ESCAPED_LABELS and not factors and not needs_escape(str(levels[-1])):
+            levels[-1] = draw(st.sampled_from([p for p in ESCAPED_PIECES if needs_escape(p) and p not in map(str, levels)]))
+        factors.append(FactorSpec(name, tuple(levels)))
+    n_cells = math.prod(len(f.levels) for f in factors)
+    counts = draw(st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=n_cells, max_size=n_cells))
+    counts[draw(st.integers(0, n_cells - 1))] = 3
+    table = ContingencyTable(tuple(factors), np.array(counts))
+    gens = draw(st.lists(st.sets(st.sampled_from(names), min_size=1), min_size=1, max_size=3))
+    formula = "".join("[" + "".join(sorted(g)) + "]" for g in [*gens, *map(set, names)])
+    model = parse_generators(formula)
+    design = build_design(table, model)
+    fs = find_facial_set(table, model, design=design)
+    res = fit(table, model, fs, design=design) if draw(st.booleans()) else None
+    if res is not None:
+        means = res.fitted_means.copy()
+        for i, value in draw(st.dictionaries(st.integers(0, n_cells - 1), st.sampled_from([np.nan, np.inf, -np.inf]))).items():
+            means[i] = value
+        res = dataclasses.replace(res, fitted_means=means)
+    oracle = per_cell_oracle(table, model, design=design) if draw(st.booleans()) else None
+    return build_report(formula, table, design, fs, fit_result=res, oracle=oracle)
+
+
 # (table maker, model, fit?, oracle?) per report
 CASES = [
     *[
@@ -124,6 +175,27 @@ class TestRenderJson:
     def test_bytes_equal_json_dumps(self, case):
         _, report, _, _ = case
         assert render_json(report) == json_reference(report)
+
+    @given(drawn_reports(PLAIN_LABELS))
+    def test_bytes_equal_json_dumps_when_no_label_is_escaped(self, report):
+        assert not any(needs_escape(lv) for row in report["face"] for lv in row["levels"])
+        assert render_json(report) == json_reference(report)
+
+    @given(drawn_reports(ESCAPED_LABELS))
+    def test_bytes_equal_json_dumps_when_a_label_is_escaped(self, report):
+        assert needs_escape(report["face"][-1]["levels"][0])
+        assert render_json(report) == json_reference(report)
+
+    def test_table_without_factors(self):
+        # one cell with an empty levels list, which json writes as []
+        table = ContingencyTable((), np.array([5]))
+        model = parse_formula("freq ~ 1")
+        design = build_design(table, model)
+        fs = find_facial_set(table, model, design=design)
+        report = build_report("freq ~ 1", table, design, fs, fit_result=fit(table, model, fs, design=design))
+        assert [row["levels"] for row in report["face"]] == [[]]
+        assert render_json(report) == json_reference(report)
+        assert '"levels": []' in render_json(report)
 
     def test_non_finite_fitted_become_null(self):
         table = haberman()
@@ -243,12 +315,32 @@ class TestEstimateText:
 
     def test_text_is_the_same_under_two_openblas_core_types(self):
         run = "import sys; from sparseloglin import cli; sys.exit(cli.main(sys.argv[1:]))"
-        args = ["--dataset", "example3x3x3", "--formula", "[ab][ac][bc]"]
-        texts = []
-        for core in ("Haswell", "Sandybridge"):
-            env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-            done = subprocess.run([sys.executable, "-c", run, *args], env=env, capture_output=True, text=True)
-            assert done.returncode == 0, done.stderr
-            texts.append(done.stdout)
-        assert texts[0] == texts[1]
-        assert "\n  b3:c2                   0       1.41621\n" in texts[0]
+        for dataset, line in [("example3x3x3", "\n  b3:c2                   0       1.41621\n"), ("haberman", "\ndeviance: 0\n")]:
+            texts = []
+            for core in ("Haswell", "Sandybridge"):
+                env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+                args = ["--dataset", dataset, "--formula", "[ab][ac][bc]"]
+                done = subprocess.run([sys.executable, "-c", run, *args], env=env, capture_output=True, text=True)
+                assert done.returncode == 0, done.stderr
+                texts.append(done.stdout)
+            assert texts[0] == texts[1]
+            assert line in texts[0]
+
+
+class TestDevianceText:
+    """A deviance within 2e-10 max(1, N) of 0, twice Newton's gradient bound, prints as 0."""
+
+    def test_saturated_face_prints_zero_and_json_keeps_the_float(self):
+        report, _, res = analyse(haberman(), "[ab][ac][bc]")
+        assert report["residual_df"] == 0 and 0 < abs(report["deviance"]) < 1e-12
+        assert "\ndeviance: 0\n" in render_text(report)
+        assert json.loads(render_json(report))["deviance"] == res.deviance
+
+    def test_bound_scales_with_the_total(self):
+        report, _, _ = analyse(haberman(), "[ab][ac][bc]")
+        bound = 2e-10 * report["total"]
+        for deviance, line in [(-0.99 * bound, "0"), (0.99 * bound, "0"), (1.01 * bound, f"{1.01 * bound:.6g}")]:
+            report["deviance"] = deviance
+            assert f"\ndeviance: {line}\n" in render_text(report)
+        report["deviance"] = None
+        assert "\ndeviance: NA\n" in render_text(report)
