@@ -103,10 +103,9 @@ def _presolve(table, model):
     positive margins, so only zero cells are ever returned.
 
     The positive cells' coordinates times a stride matrix mark the
-    reached margin cells (in float64, exactly), at most 2^14 codes (or one
-    generator) at a time, so that malloc reuses each block's memory rather
-    than fault it in afresh; only a generator with an unreached one reads
-    the zeros.
+    reached margin cells (in float64, exactly), in blocks of at most 2^14
+    codes or one generator, small enough for malloc to reuse rather than
+    fault in afresh; only a generator with an unreached one reads the zeros.
     """
     first = np.full(table.n_cells, -1)  # each cell's first generator with a zero margin there
     if table.counts.all():
