@@ -17,10 +17,12 @@ the original A, and updates B^-1 [I | b] by one eta step per pivot
 (Dantzig & Orchard-Hays, Math. Tables Aids Comput. 8, 1954).  Every
 REFACTOR_PIVOTS pivots, and before a phase returns its verdict, B is
 inverted afresh from A's columns; basic values that drifted further
-than DRIFT_TOL from the fresh B^-1 b raise SimplexError.  There are no
-status codes: a phase returns its pivot count at an optimum and raises
-SimplexError otherwise.  Every choice is deterministic, so the
-returned vertex is too.
+than DRIFT_TOL from the fresh B^-1 b raise SimplexError.  One pivot
+rule, Dantzig's, picks every pivot and no anti-cycling rule backs
+it: a solve that cycles ends at the pivot limit with SimplexError.
+There are no status codes: a phase returns its pivot count at an
+optimum and raises SimplexError otherwise.  Every choice is
+deterministic, so the returned vertex is too.
 
 Phase 1 appends an identity to A, one artificial column per row, and
 minimizes the artificials' sum, stopping as soon as that sum is within
@@ -56,10 +58,6 @@ COST_TOL = 1e-9
 # Smallest pivot element accepted.  With 0/1 data genuine entries of
 # B^-1 A are far above it; smaller ones are roundoff.
 PIVOT_TOL = 1e-7
-# Degenerate pivots in a row before Bland's rule takes over.  Dantzig's
-# rule ends the degenerate stretches of the facial LPs measured so far
-# (up to about 100 pivots on 93 rows) in far fewer pivots than Bland's.
-STALL_PIVOTS = 200
 # Pivots between inversions of B afresh from the original columns.
 REFACTOR_PIVOTS = 100
 # Largest drift of the basic values, relative to 1 + max|b|, accepted
@@ -163,15 +161,13 @@ def _simplex(M, b, cost, basis, inv, max_iter, phase, stop_at=None):
     """Minimize cost . a subject to M a = b, a >= 0 from a feasible basis.
 
     ``basis`` lists the basic columns and ``inv`` holds B^-1 [I | b]
-    for B = M[:, basis]; both are updated in place.  Dantzig's rule:
-    the most negative reduced cost, cost - (cost_B B^-1) M, below
-    -COST_TOL enters; the leaving row has the minimum ratio over the
-    entries of B^-1 M_j above PIVOT_TOL, ties going to the largest
-    entry (Harris, Math. Prog. 5, 1973).  After STALL_PIVOTS
-    degenerate pivots in a row (steps inside the ratio tie band, which
-    leave the objective unchanged), Bland's rule decides (lowest
-    entering column, ties to the lowest basic-variable index) until a
-    step moves the objective.
+    for B = M[:, basis]; both are updated in place.  Every pivot
+    follows Dantzig's rule: the most negative reduced cost, cost -
+    (cost_B B^-1) M, below -COST_TOL enters, and the leaving row has
+    the minimum ratio over the entries of B^-1 M_j above PIVOT_TOL,
+    ties within a 1e-9 band going to the largest entry (Harris, Math.
+    Prog. 5, 1973).  Nothing else guards against cycling: a cycle
+    ends at max_iter.
 
     ``inv`` is rebuilt every REFACTOR_PIVOTS pivots and before a
     verdict on a basis pivoted since its last rebuild.  With
@@ -181,12 +177,11 @@ def _simplex(M, b, cost, basis, inv, max_iter, phase, stop_at=None):
     """
     m = M.shape[0]
     binv, x = inv[:, :m], inv[:, m]
-    pivots = stalled = since_rebuild = 0
+    pivots = since_rebuild = 0
     while True:
-        bland = stalled >= STALL_PIVOTS
         costs = cost - (cost[basis] @ binv) @ M
         costs[basis] = 0.0  # not roundoff: a basic column must not re-enter
-        col = int(np.argmax(costs < -COST_TOL)) if bland else int(np.argmin(costs))
+        col = int(np.argmin(costs))
         optimal = stop_at is not None and cost[basis] @ x <= stop_at or not costs[col] < -COST_TOL
         if not optimal:
             a = binv @ M[:, col]
@@ -204,13 +199,11 @@ def _simplex(M, b, cost, basis, inv, max_iter, phase, stop_at=None):
         ratios = np.maximum(x[rows], 0.0) / a[rows]
         best = ratios.min()
         ties = rows[ratios <= best + 1e-9 * (1.0 + best)]
-        row = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(a[ties])]
+        row = ties[np.argmax(a[ties])]
         _pivot(inv, basis, row, col, a)
 
         pivots += 1
         since_rebuild += 1
-        # a step inside the tie band is degenerate: the objective stays
-        stalled = stalled + 1 if best <= 1e-9 else 0
         if pivots >= max_iter:
             raise SimplexError(f"phase {phase}: pivot limit {max_iter} exhausted")
         if since_rebuild >= REFACTOR_PIVOTS:

@@ -59,7 +59,15 @@ def test_two_way_2x10_settles_with_no_lp(two_way_2x10):
 
 
 @pytest.mark.parametrize(
-    "seed, k, p0, face_cells", [(1, 9, 0.85, 448), (0, 10, 0.92, 896), (0, 11, 0.95, 2048)]
+    "seed, k, p0, face_cells",
+    [
+        (1, 9, 0.85, 448),
+        (2, 9, 0.92, 41),
+        (7, 9, 0.92, 42),
+        (0, 10, 0.92, 896),
+        (1, 10, 0.97, 30),
+        (0, 11, 0.95, 2048),
+    ],
 )
 def test_larger_three_way_matches_highs(seed, k, p0, face_cells):
     table, model = three_way_instance(seed, k, p0)

@@ -42,19 +42,21 @@ def nonnegative_rhs(a_mat, b):
     return a_mat * sign[:, None], b * sign
 
 
-# bland_reference's verdicts
+# dantzig_reference's verdicts
 OPTIMAL, UNBOUNDED, ITERATION_LIMIT = "optimal", "unbounded", "iteration limit"
 
 
-def bland_reference(T, basis, max_iter):
-    """Scalar-loop Bland simplex on a dense tableau: the reference for lp._simplex's Bland path.
+def dantzig_reference(T, basis, max_iter):
+    """Scalar-loop simplex on a dense tableau: the reference for lp._simplex's pivot rule.
 
     ``T`` is (m+1, n+1): rows 0..m-1 hold [M | b] with an identity at
     the columns listed in ``basis``, the last row holds [reduced costs
     | -objective]; both are pivoted in place.  Returns (verdict,
-    pivots).  It decides as lp._simplex does with STALL_PIVOTS = 0,
-    and every comparison is made one entry at a time, so each pivot
-    decision is plain to read.
+    pivots).  It decides as lp._simplex does: the most negative reduced
+    cost below -COST_TOL enters, and among ratios within the tie band
+    of the minimum the largest entry leaves, the first column or row
+    winning among equals.  Every comparison is made one entry at a
+    time, so each pivot decision is plain to read.
     """
     m = T.shape[0] - 1
     n = T.shape[1] - 1
@@ -62,9 +64,8 @@ def bland_reference(T, basis, max_iter):
     while True:
         pivcol = -1
         for j in range(n):
-            if T[m, j] < -lpmod.COST_TOL:
+            if T[m, j] < -lpmod.COST_TOL and (pivcol < 0 or T[m, j] < T[m, pivcol]):
                 pivcol = j
-                break
         if pivcol < 0:
             return OPTIMAL, pivots
 
@@ -72,18 +73,18 @@ def bland_reference(T, basis, max_iter):
         for i in range(m):
             a = T[i, pivcol]
             if a > lpmod.PIVOT_TOL:
-                r = T[i, n] / a
+                r = max(T[i, n], 0.0) / a
                 if r < best:
                     best = r
         if best == np.inf:
             return UNBOUNDED, pivots
-        thresh = best + 1e-9 * (1.0 + abs(best))
+        thresh = best + 1e-9 * (1.0 + best)
         pivrow = -1
         for i in range(m):
             a = T[i, pivcol]
             if a > lpmod.PIVOT_TOL:
-                r = T[i, n] / a
-                if r <= thresh and (pivrow < 0 or basis[i] < basis[pivrow]):
+                r = max(T[i, n], 0.0) / a
+                if r <= thresh and (pivrow < 0 or a > T[pivrow, pivcol]):
                     pivrow = i
 
         piv = T[pivrow, pivcol]
@@ -240,7 +241,7 @@ def run_engine(T, basis, max_iter):
     """lp._simplex on the LP of tableau ``T`` (M, b and cost read from it), starting from B^-1 = I.
 
     ``basis`` is updated in place.  Returns (verdict, pivots, tableau):
-    the verdict in bland_reference's labels, and the tableau B^-1 [M | b]
+    the verdict in dantzig_reference's labels, and the tableau B^-1 [M | b]
     with its reduced-cost row [cost - cost_B B^-1 M | -objective]
     rebuilt from the engine's final B^-1 [I | b].
     """
@@ -262,18 +263,22 @@ def run_engine(T, basis, max_iter):
 
 
 class TestSimplex:
-    @pytest.mark.parametrize("integer", [False, True])
-    def test_matches_scalar_reference(self, integer, monkeypatch):
-        monkeypatch.setattr(lpmod, "STALL_PIVOTS", 0)
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_matches_scalar_reference(self, degenerate):
+        # normal entries, so no two reduced costs or pivot entries tie
+        # exactly; with ``degenerate`` about a quarter of the rhs entries
+        # are 0, so ratios tie at 0 and the largest-entry tie-break decides
         rng = np.random.default_rng(3)
         statuses = set()
         for _ in range(1000):
             m = int(rng.integers(1, 8))
             n = int(rng.integers(m + 1, m + 10))
-            T, basis = random_phase2_tableau(rng, m, n, integer)
+            T, basis = random_phase2_tableau(rng, m, n)
+            if degenerate:
+                T[:m, -1] *= rng.random(m) < 0.75
             T_ref, basis_ref = T.copy(), basis.copy()
             status, pivots, tableau = run_engine(T, basis, 1000)
-            want = bland_reference(T_ref, basis_ref, 1000)
+            want = dantzig_reference(T_ref, basis_ref, 1000)
             # identical pivot decisions: same status, pivot count, basis
             # and, up to roundoff relative to its largest entry, the same
             # tableau
@@ -283,12 +288,10 @@ class TestSimplex:
             statuses.add(status)
         assert statuses == {OPTIMAL, UNBOUNDED}
 
-    @pytest.mark.parametrize("stall_pivots", [lpmod.STALL_PIVOTS, 1])
     @pytest.mark.parametrize("integer", [False, True])
-    def test_dantzig_matches_reference_optimum(self, integer, stall_pivots, monkeypatch):
-        # STALL_PIVOTS = 1 hands degenerate stretches to Bland's rule and
-        # back at almost every pivot
-        monkeypatch.setattr(lpmod, "STALL_PIVOTS", stall_pivots)
+    def test_dantzig_matches_reference_optimum(self, integer):
+        # integer tableaux tie reduced costs exactly, and roundoff may
+        # then pick either column; the verdict and optimum stay the same
         rng = np.random.default_rng(3)
         statuses = set()
         for _ in range(1000):
@@ -297,7 +300,7 @@ class TestSimplex:
             T, basis = random_phase2_tableau(rng, m, n, integer)
             T_ref, basis_ref = T.copy(), basis.copy()
             status, _, tableau = run_engine(T, basis, 1000)
-            want, _ = bland_reference(T_ref, basis_ref, 1000)
+            want, _ = dantzig_reference(T_ref, basis_ref, 1000)
             assert status == want
             if status == OPTIMAL:
                 assert abs(tableau[-1, -1] - T_ref[-1, -1]) <= 1e-9
@@ -305,15 +308,14 @@ class TestSimplex:
             statuses.add(status)
         assert statuses == {OPTIMAL, UNBOUNDED}
 
-    def test_iteration_limit(self, monkeypatch):
-        monkeypatch.setattr(lpmod, "STALL_PIVOTS", 0)
+    def test_iteration_limit(self):
         rng = np.random.default_rng(5)
         statuses = set()
         for _ in range(50):
             T, basis = random_phase2_tableau(rng, 4, 10)
             T_ref, basis_ref = T.copy(), basis.copy()
             status, pivots, tableau = run_engine(T, basis, 1)
-            assert (status, pivots) == bland_reference(T_ref, basis_ref, 1)
+            assert (status, pivots) == dantzig_reference(T_ref, basis_ref, 1)
             assert np.array_equal(basis, basis_ref)
             assert np.abs(tableau - T_ref).max() <= 1e-9 * (1.0 + np.abs(T_ref).max())
             statuses.add(status)
