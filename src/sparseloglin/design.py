@@ -8,6 +8,19 @@ is a binary vector.  For a hierarchical model this coding always has
 full column rank.  A ``DesignMatrix`` checks it with ``matrix_rank`` at
 construction, so no design without it exists and the rows of every
 cell together need no second rank computation.
+
+Newton's information X' diag(mu) X and gradient X'(n - mu) come from
+marginal totals of the fitted means, not from products with the n x d
+design (Haberman, The Analysis of Frequency Data, 1974).  Column j is
+1 on the cells that match its level pattern a_j (``design_columns``),
+and entry (j, l) of the information is the sum of mu over the cells
+that match both a_j and a_l: the pattern max(a_j, a_l), or no cell
+where the two give one factor different levels.  One zeta transform of
+the mu cube, a short chain of small Kronecker-factor products (Van
+Loan, J. Comput. Appl. Math. 123, 2000), gives every such total at
+once.  So an iteration forms its information in O(n g) for n cells and
+Kronecker factors of at most g cells, plus a gather of d^2 totals,
+where the product X' diag(mu) X costs O(n d^2).
 """
 
 import math
@@ -21,6 +34,11 @@ from .formula import INTERCEPT
 from .table import DENSE_BUDGET, cell_strides
 
 __all__ = ["ColumnLabel", "DesignMatrix", "build_design", "matrix_rank", "Rank"]
+
+# Most cells of one Kronecker factor of the zeta transform: consecutive
+# table factors are grouped up to this many cells, so each product is a
+# small GEMM over the whole cube.
+GROUP_CELLS = 16
 
 
 @dataclass(frozen=True)
@@ -122,14 +140,18 @@ class ColumnLabel:
 class DesignMatrix:
     """0/1 design matrix with labeled columns, of full column rank.
 
-    Row i is the binary vector of cell i in canonical cell order;
-    column 0 is the intercept.  The matrix is kept as a read-only view;
-    a C-contiguous float64 matrix is not copied.  Full column rank is
-    checked at construction: a matrix of lower rank raises ValueError.
+    Row i is the binary vector of cell i in canonical cell order of a
+    table over ``factors``, its FactorSpec tuple; the columns are those
+    of ``model``'s terms, column 0 the intercept.  The matrix is kept as
+    a read-only view; a C-contiguous float64 matrix is not copied.  Full
+    column rank is checked at construction: a matrix of lower rank
+    raises ValueError.
     """
 
     matrix: np.ndarray = field(repr=False)
     column_labels: tuple
+    factors: tuple
+    model: object  # formula.ModelFormula
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=np.float64).view()
@@ -157,35 +179,32 @@ class DesignMatrix:
             return Rank(self.d, tuple(range(self.d)), np.zeros((self.d, 0)))
         return matrix_rank(self.matrix[mask])
 
+    def margins(self, in_face, columns):
+        """Newton's ``margins(m, r)``, as ``_margins`` forms it, on the face cells ``in_face`` and the design ``columns``."""
+        patterns = design_columns(self.factors, self.model)[1][list(columns)]
+        return _margins(tuple(f.n_levels for f in self.factors), patterns, in_face)
+
 
 def design_for(table, model, design):
     """The model's design on the table, or ``design`` checked against it.
 
-    A passed design must be the one ``build_design`` makes for this
-    table and model.  It is checked without being rebuilt: one row per
-    cell, the model's column labels on the table's factors and levels,
-    compared in one pass, and rows in this table's cell order, read from
-    the ``probe`` entries of ``design_columns``.  A design of another
-    table or model raises ValueError.
+    A design depends only on the table's factors and the model's terms,
+    and records both, so a passed design is checked with two equalities
+    and not rebuilt.  A design of other factors or other terms raises
+    ValueError naming which.
     """
     if design is None:
         return build_design(table, model)
-    if design.matrix.shape[0] != table.n_cells:
-        raise ValueError(f"design has {design.matrix.shape[0]} rows but the table has {table.n_cells} cells")
-    labels, _, probe = design_columns(table.factors, model)
-    if design.column_labels != labels:
-        for j, (got, want) in enumerate(zip(design.column_labels, labels)):
-            if got != want:
-                raise ValueError(f"design column {j} is {got}, where the model on this table has {want}")
-        raise ValueError(f"design has {design.d} columns but the model on this table has {len(labels)}")
-    if not design.matrix.ravel()[probe].all():
-        raise ValueError("design rows are not in this table's cell order")
+    if design.factors != table.factors:
+        raise ValueError("design was built on other factors than the table's")
+    if design.model.terms != model.terms:
+        raise ValueError("design was built for other terms than the model's")
     return design
 
 
 @lru_cache(maxsize=64)
 def design_columns(factors, model):
-    """(labels, patterns, probe) of the design of ``model`` on a table's ``factors``.
+    """(labels, patterns) of the design of ``model`` on a table's ``factors``.
 
     Columns appear intercept first, then terms in canonical order
     (size, then name), then within a term the non-baseline level
@@ -196,17 +215,9 @@ def design_columns(factors, model):
     match it where it is nonzero, and its first 1 is at the cell of
     those level indices.
 
-    ``probe`` holds flat indices into the C-ordered design: for each
-    model factor with cell stride s, cells s to 2s - 1 of its column at
-    level index 1, where that column is 1.  A design with these labels
-    whose rows follow another table's cell order steps that factor every
-    s' != s cells: if s' > s its cell s is 0, and if s' < s its runs of
-    ones are s' long.  So it is 0 at some probe entry.
-
     A term naming a factor the table lacks, or a design of more than
     DENSE_BUDGET entries, raises ValueError before any column is made.
-    The result is cached, so a design built here and checked by
-    ``design_for`` shares its label objects.
+    The result is cached, so a design and its Newton margins share it.
     """
     factor_pos = {f.name: k for k, f in enumerate(factors)}
     missing = model.factors - set(factor_pos)
@@ -223,12 +234,9 @@ def design_columns(factors, model):
         )
     labels = [ColumnLabel(INTERCEPT, ())]
     rows = [[0] * len(factors)]
-    mains = []  # (column, factor position) of each factor's level index 1
     for term in terms[1:]:
         positions = sorted(factor_pos[name] for name in term)
         for combo in product(*(range(1, shape[k]) for k in positions)):
-            if combo == (1,):
-                mains.append((len(labels), positions[0]))
             row = [0] * len(factors)
             for k, lev in zip(positions, combo):
                 row[k] = lev
@@ -237,13 +245,8 @@ def design_columns(factors, model):
                 ColumnLabel(term, tuple((factors[k].name, factors[k].levels[lev]) for k, lev in zip(positions, combo)))
             )
     patterns = np.array(rows, dtype=np.intp)
-    strides = cell_strides(shape)
-    probe = np.concatenate(
-        [np.zeros(0, dtype=np.intp)] + [np.arange(strides[k], 2 * strides[k]) * d + j for j, k in mains]
-    )
     patterns.flags.writeable = False
-    probe.flags.writeable = False
-    return tuple(labels), patterns, probe
+    return tuple(labels), patterns
 
 
 def build_design(table, model):
@@ -274,4 +277,92 @@ def build_design(table, model):
         for key in label.levels:
             col *= indicator[key]
 
-    return DesignMatrix(matrix, labels)
+    return DesignMatrix(matrix, labels, table.factors, model)
+
+
+@lru_cache(maxsize=64)
+def _zeta_factors(shape):
+    """Transposed Kronecker factors of the zeta transform on a table shape.
+
+    Factor f gets the L x L matrix Z_f whose row 0 is all ones (any
+    level) and whose row l is e_l.  The factors are split, in table
+    order, into consecutive groups of at most GROUP_CELLS cells (a
+    larger factor is a group of its own); a group's Kronecker factor
+    is the Kronecker product of its Z_f.  Read-only, cached per shape.
+    """
+    groups, cells = [[]], 1
+    for n_levels in shape:
+        if groups[-1] and cells * n_levels > GROUP_CELLS:
+            groups.append([])
+            cells = 1
+        groups[-1].append(n_levels)
+        cells *= n_levels
+    factors = []
+    for group in groups:
+        z = np.ones((1, 1))
+        for n_levels in group:
+            z_f = np.eye(n_levels)
+            z_f[0] = 1.0
+            z = (z[:, None, :, None] * z_f[None, :, None, :]).reshape(len(z) * n_levels, -1)  # np.kron(z, z_f)
+        z = np.ascontiguousarray(z.T)
+        z.flags.writeable = False
+        factors.append(z)
+    return tuple(factors)
+
+
+def _zeta(w, factors):
+    """T(w) of the columns of w, an (n_cells, m) array in cell order.
+
+    At the cell of a level pattern, where level index 0 means "any
+    level", column i of T(w) holds the sum of w[:, i] over the cells
+    that match the pattern.  Returns T(w) transposed, (m, n_cells).
+    Each product applies one group's factor to the leading axis of the
+    cube and moves that axis last, so after the last group the axes are
+    in table order again, behind the m columns.
+    """
+    m = w.shape[1]
+    for z_t in factors:
+        w = w.reshape(z_t.shape[0], -1).T @ z_t
+    return w.reshape(m, -1)
+
+
+def _margins(shape, patterns, in_face):
+    """Newton's (x' diag(m) x, x' r) from marginal totals, m and r over the face.
+
+    x is the design of a table of ``shape`` restricted to the face cells
+    ``in_face`` and to the columns whose level patterns (as in
+    ``design_columns``) are the rows of ``patterns``.  The
+    returned function takes m and r, vectors over the face cells, and
+    takes one zeta transform of both, 0 off the face: entry (j, l) of
+    the information is T(m) at the cell of max(a_j, a_l), and x' r is
+    T(r) at the cells of the patterns.  A pair that gives one factor two
+    different levels matches no cell, and its entry is exactly 0.
+
+    The cell index is built once from three small GEMMs, exact as they
+    hold integers below 2^53.  With s the cell strides, V = a * s and
+    B = [a > 0], the cell of max(a_j, a_l) is s.a_j + s.a_l - (V B')[j, l].
+    The pair conflicts where sum_f B_j B_l (a_j - a_l)^2, that is
+    (a^2 B')[j, l] + (a^2 B')[l, j] - 2 (a a')[j, l], is not 0, and its
+    entry is masked to 0.
+    """
+    p = patterns.astype(np.float64)
+    b = np.minimum(p, 1.0)
+    v = p * cell_strides(shape)
+    cells = v.sum(axis=1)
+    squares = (p * p) @ b.T
+    keep = (squares + squares.T == 2.0 * (p @ p.T)).astype(np.float64)
+    pairs = ((cells[:, None] + cells - v @ b.T) * keep).astype(np.intp)  # a conflict reads cell 0
+    cells = cells.astype(np.intp)
+    factors = _zeta_factors(shape)
+    rows = slice(None) if in_face.all() else np.flatnonzero(in_face)
+    w = np.zeros((math.prod(shape), 2))  # m and r, 0 off the face
+
+    def margins(m, r):
+        w[rows, 0] = m
+        w[rows, 1] = r
+        t = _zeta(w, factors)
+        info = t[0][pairs]
+        info *= keep
+        return info, t[1][cells]
+
+    return margins

@@ -8,19 +8,8 @@ them).  Degrees of freedom, BIC, and the corrected BIC all use the
 face dimension rather than the nominal model dimension.
 
 Newton's information X' diag(mu) X and gradient X'(n - mu) come from
-marginal totals of the fitted means, not from products with the n x d
-design (Haberman, The Analysis of Frequency Data, 1974).  The design is
-baseline-coded 0/1, so column j is 1 on the cells that match its level
-pattern a_j (``design.design_columns``), and entry (j, l) of the
-information is the sum of mu over the cells that match both a_j and
-a_l: the pattern max(a_j, a_l), or no cell where the two give one
-factor different levels.  One zeta transform of the mu cube, a short
-chain of small Kronecker-factor products (Van Loan, J. Comput. Appl.
-Math. 123, 2000), gives every such total at once.  So an iteration
-forms its information in O(n g) for n cells and Kronecker factors of
-at most g cells, plus a gather of d^2 totals, where the product
-X' diag(mu) X costs O(n d^2); eta = X theta still costs O(n d) per
-trial step.
+marginal totals of the fitted means (``DesignMatrix.margins``); only
+eta = X theta is a product with the design, O(n d) per trial step.
 
 The log-likelihood convention is l(m) = sum n log m - sum m with
 0 log 0 = 0, i.e. no factorial constant.
@@ -28,12 +17,10 @@ The log-likelihood convention is l(m) = sum n log m - sum m with
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .design import design_columns, design_for
-from .table import cell_strides
+from .design import design_for
 
 __all__ = [
     "Coefficient",
@@ -49,11 +36,6 @@ __all__ = [
 
 # Newton iterations ``fit`` allows before it reports no convergence.
 NEWTON_ITER_CAP = 100
-
-# Most cells of one Kronecker factor of the zeta transform: consecutive
-# table factors are grouped up to this many cells, so each product is a
-# small GEMM over the whole cube.
-GROUP_CELLS = 16
 
 
 class FitError(RuntimeError):
@@ -89,102 +71,14 @@ class FitResult:
     n_iter: int = 0
 
 
-@lru_cache(maxsize=64)
-def _zeta_factors(shape):
-    """Transposed Kronecker factors of the zeta transform on a table shape.
-
-    Factor f gets the L x L matrix Z_f whose row 0 is all ones (any
-    level) and whose row l is e_l.  The factors are split, in table
-    order, into consecutive groups of at most GROUP_CELLS cells (a
-    larger factor is a group of its own); a group's Kronecker factor
-    is the Kronecker product of its Z_f.  Read-only, cached per shape.
-    """
-    groups, cells = [[]], 1
-    for n_levels in shape:
-        if groups[-1] and cells * n_levels > GROUP_CELLS:
-            groups.append([])
-            cells = 1
-        groups[-1].append(n_levels)
-        cells *= n_levels
-    factors = []
-    for group in groups:
-        z = np.ones((1, 1))
-        for n_levels in group:
-            z_f = np.eye(n_levels)
-            z_f[0] = 1.0
-            z = (z[:, None, :, None] * z_f[None, :, None, :]).reshape(len(z) * n_levels, -1)  # np.kron(z, z_f)
-        z = np.ascontiguousarray(z.T)
-        z.flags.writeable = False
-        factors.append(z)
-    return tuple(factors)
-
-
-def _zeta(w, factors):
-    """T(w) of the columns of w, an (n_cells, m) array in cell order.
-
-    At the cell of a level pattern, where level index 0 means "any
-    level", column i of T(w) holds the sum of w[:, i] over the cells
-    that match the pattern.  Returns T(w) transposed, (m, n_cells).
-    Each product applies one group's factor to the leading axis of the
-    cube and moves that axis last, so after the last group the axes are
-    in table order again, behind the m columns.
-    """
-    m = w.shape[1]
-    for z_t in factors:
-        w = w.reshape(z_t.shape[0], -1).T @ z_t
-    return w.reshape(m, -1)
-
-
-def _margins(shape, patterns, in_face):
-    """Newton's (x' diag(m) x, x' r) from marginal totals, m and r over the face.
-
-    x is the design of a table of ``shape`` restricted to the face cells
-    ``in_face`` and to the columns whose level patterns (as in
-    ``design.design_columns``) are the rows of ``patterns``.  The
-    returned function takes m and r, vectors over the face cells, and
-    takes one zeta transform of both, 0 off the face: entry (j, l) of
-    the information is T(m) at the cell of max(a_j, a_l), and x' r is
-    T(r) at the cells of the patterns.  A pair that gives one factor two
-    different levels matches no cell, and its entry is exactly 0.
-
-    The cell index is built once from three small GEMMs, exact as they
-    hold integers below 2^53.  With s the cell strides, V = a * s and
-    B = [a > 0], the cell of max(a_j, a_l) is s.a_j + s.a_l - (V B')[j, l].
-    The pair conflicts where sum_f B_j B_l (a_j - a_l)^2, that is
-    (a^2 B')[j, l] + (a^2 B')[l, j] - 2 (a a')[j, l], is not 0, and its
-    entry is masked to 0.
-    """
-    p = patterns.astype(np.float64)
-    b = np.minimum(p, 1.0)
-    v = p * cell_strides(shape)
-    cells = v.sum(axis=1)
-    squares = (p * p) @ b.T
-    keep = (squares + squares.T == 2.0 * (p @ p.T)).astype(np.float64)
-    pairs = ((cells[:, None] + cells - v @ b.T) * keep).astype(np.intp)  # a conflict reads cell 0
-    cells = cells.astype(np.intp)
-    factors = _zeta_factors(shape)
-    rows = slice(None) if in_face.all() else np.flatnonzero(in_face)
-    w = np.zeros((math.prod(shape), 2))  # m and r, 0 off the face
-
-    def margins(m, r):
-        w[rows, 0] = m
-        w[rows, 1] = r
-        t = _zeta(w, factors)
-        info = t[0][pairs]
-        info *= keep
-        return info, t[1][cells]
-
-    return margins
-
-
 def _newton(X, y, theta0, grad_bound, margins):
     """Maximize the Poisson log-likelihood y'(X theta) - sum(exp(X theta)).
 
     Damped Newton: full step first, halved until the objective stops
     getting worse (a 1e-12 relative band lets the final steps polish
     the gradient once the objective is flat to machine precision).
-    ``margins(mu, r)`` returns (X' diag(mu) X, X' r), as ``_margins``
-    forms them; X itself gives only eta = X theta.
+    ``margins(mu, r)`` returns (X' diag(mu) X, X' r), as
+    ``DesignMatrix.margins`` forms them; X itself gives only eta = X theta.
 
     Convergence requires BOTH a small gradient (max|grad| <= grad_bound)
     and a small Newton step (max|delta| <= 1e-8 (1 + max|theta|)).
@@ -234,10 +128,7 @@ def _newton(X, y, theta0, grad_bound, margins):
         else:  # no damped step improved the objective
             how = "stalled"
             break
-    raise FitError(
-        f"fit {how} after {it + 1} iterations (grad norm {gnorm:.3e}); "
-        "if the MLE may not exist, fit on the facial set"
-    )
+    raise FitError(f"fit {how} after {it + 1} iterations (grad norm {gnorm:.3e})")
 
 
 def loglik(fitted_means, counts):
@@ -287,7 +178,8 @@ def fit(table, model, facial_set=None, design=None):
     max|gradient| <= 1e-10 max(1, N) and max|step| <= 1e-8 (1 + max|theta|);
     when it stalls or spends NEWTON_ITER_CAP iterations first, as a fit
     on all cells does when the MLE does not exist, ``fit`` raises
-    FitError and returns no partial fit.  A passed ``design`` must be
+    FitError and returns no partial fit; only a fit on all cells adds
+    the hint to fit on the facial set.  A passed ``design`` must be
     the model's design on the table (see ``design.design_for``), and a
     passed ``facial_set`` must have one entry per cell, else ValueError.
     """
@@ -319,10 +211,14 @@ def fit(table, model, facial_set=None, design=None):
     theta0 = np.zeros(len(kept))
     theta0[0] = math.log(total / n_face)
 
-    patterns = design_columns(table.factors, model)[1][list(kept)]
-    theta, mu, info, n_iter = _newton(
-        x_star, nf, theta0, 1e-10 * max(1.0, float(total)), _margins(table.shape, patterns, in_face)
-    )
+    try:
+        theta, mu, info, n_iter = _newton(
+            x_star, nf, theta0, 1e-10 * max(1.0, float(total)), design.margins(in_face, kept)
+        )
+    except FitError as exc:
+        if facial_set is not None:
+            raise
+        raise FitError(f"{exc}; if the MLE may not exist, fit on the facial set") from None
     fitted = np.zeros(n_cells)
     fitted[in_face] = mu
     fitted.flags.writeable = False

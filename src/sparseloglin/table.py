@@ -125,20 +125,6 @@ class ContingencyTable:
         grids = np.indices(self.shape).reshape(len(self.factors), -1)
         return grids.T
 
-    def label_columns(self, convert=None):
-        """Level labels of every cell, one list per factor, in canonical order.
-
-        Each factor's levels are indexed by its column of ``cell_coords``
-        at once; ``convert`` (e.g. ``str``) is applied once per level,
-        not once per cell.
-        """
-        coords = self.cell_coords()
-        columns = []
-        for k, f in enumerate(self.factors):
-            levels = f.levels if convert is None else [convert(v) for v in f.levels]
-            columns.append(np.fromiter(levels, dtype=object, count=f.n_levels)[coords[:, k]].tolist())
-        return columns
-
 
 def _levels_from_column(name, values):
     # First-appearance order, unless every label parses as a number,

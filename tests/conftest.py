@@ -52,6 +52,11 @@ def presolve_reference(table, model):
     return pairs, off_face
 
 
+def cell_labels(table):
+    """One tuple of level labels per cell, in canonical cell order."""
+    return [tuple(f.levels[c] for f, c in zip(table.factors, coords)) for coords in table.cell_coords()]
+
+
 def table_csv(table):
     """Comma-separated text of every cell, with the counts in a last column named freq."""
     lines = [",".join((*table.factor_names, "freq"))]

@@ -22,7 +22,7 @@ from sparseloglin import (
 )
 from sparseloglin.lp import LinearProgram, solve
 
-from conftest import iter_instances, make_table, moment_residual
+from conftest import cell_labels, iter_instances, make_table, moment_residual
 from test_lp import brute_force_max, nonnegative_rhs
 
 N_SWEEP = 500
@@ -83,7 +83,7 @@ def test_criterion_2_3x3x3(table3x3x3):
     assert np.array_equal(fs.in_face, expected)
     assert fs.face_dimension == 18
     assert fs.in_face[rescued] and table3x3x3.counts[rescued] == 0
-    labels = list(zip(*table3x3x3.label_columns()))
+    labels = cell_labels(table3x3x3)
     excluded = {"".join(labels[i]) for i in np.flatnonzero(~fs.in_face)}
     assert excluded == {"111", "211", "322", "332", "323", "333"}
     ok(2, "3x3x3 rescued-cell example")

@@ -46,7 +46,6 @@ OPTIONAL = {
     "fit.fit": ("facial_set", "design"),
     "lp.solve": ("start", "stop_above"),
     "report.build_report": ("fit_result", "oracle"),
-    "table.ContingencyTable.label_columns": ("convert",),
     "table.parse_table": ("freq_column",),
 }
 

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import io
 import json
 
@@ -277,3 +279,25 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         assert out == ""
         assert "factor 'a': levels 'nan' and 'NaN' are the same number" in err
+
+    def test_numerical_failure_exits_5(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("sparseloglin.fit"), "NEWTON_ITER_CAP", 1)
+        code, out, err = run_cli(*HABERMAN_ARGS)
+        assert (code, out) == (cli.EXIT_NUMERICAL, "")
+        assert err.startswith("error: numerical failure: fit hit the 1-iteration cap")
+        assert "facial set" not in err  # the CLI fits on the face already
+
+    def test_oracle_disagreement_exits_6(self, monkeypatch):
+        oracle = cli.per_cell_oracle
+
+        def one_cell_flipped(table, model, design=None):
+            fs = oracle(table, model, design=design)
+            in_face = fs.in_face.copy()
+            in_face[0] = not in_face[0]
+            return dataclasses.replace(fs, in_face=in_face)
+
+        monkeypatch.setattr(cli, "per_cell_oracle", one_cell_flipped)
+        code, out, err = run_cli(*HABERMAN_ARGS, "--oracle-check")
+        assert code == cli.EXIT_ORACLE
+        assert "oracle check: FAIL, differing cells [0]\n" in out
+        assert err == "error: facial-set algorithm and per-cell oracle disagree\n"

@@ -17,6 +17,7 @@ from sparseloglin import (
 )
 from sparseloglin.datasets import example3x3x3, haberman, rochdale
 from sparseloglin.design import Rank, design_columns, matrix_rank
+from sparseloglin.formula import ModelFormula
 
 from conftest import iter_instances, make_table, margin, three_way_instance
 from test_acceptance import BIC_ROWS, CBIC_ROWS
@@ -305,7 +306,7 @@ class TestImmutability:
     def test_callers_matrix_stays_writable(self, haberman_design):
         # the design freezes a view of a C-contiguous float64 matrix, not the matrix
         m = np.ones((2, 1))
-        design = DesignMatrix(m, ("(Intercept)",))
+        design = DesignMatrix(m, ("(Intercept)",), (FactorSpec("a", ("0", "1")),), ModelFormula("freq", ()))
         assert np.shares_memory(design.matrix, m)
         m[0, 0] = 5
         assert design.matrix[0, 0] == 5
@@ -314,13 +315,17 @@ class TestImmutability:
                 matrix[0, 0] = 1
 
 
+OTHER_FACTORS = r"^design was built on other factors than the table's$"
+OTHER_TERMS = r"^design was built for other terms than the model's$"
+
+
 class TestFullColumnRank:
     """A DesignMatrix has full column rank, so all its rows need no second rank."""
 
     def test_rank_deficient_matrix_rejected(self):
         m = np.column_stack([np.ones(4), np.arange(4.0), np.arange(4.0)])
         with pytest.raises(ValueError, match=r"rank deficient \(rank 2 < 3 columns\)"):
-            DesignMatrix(m, ("(Intercept)", "x", "x again"))
+            DesignMatrix(m, ("(Intercept)", "x", "x again"), (FactorSpec("x", tuple("0123")),), parse_generators("[x]"))
 
     def test_all_rows_rank_is_matrix_rank(self):
         rng = np.random.default_rng(20)
@@ -364,14 +369,22 @@ class TestFullColumnRank:
         model = parse_generators("[ab][ac][bc]")
         other = build_design(rochdale(), parse_generators("[ab][ac][bc]"))
         for call in (find_facial_set, per_cell_oracle, fit):
-            with pytest.raises(ValueError, match="^design has 256 rows but the table has 8 cells$"):
+            with pytest.raises(ValueError, match=OTHER_FACTORS):
                 call(table, model, design=other)
 
     @pytest.mark.parametrize(
-        "case", ["renamed factors", "model factor missing", "another model", "factors reordered", "other strides"]
+        "case",
+        [
+            "renamed factors",
+            "model factor missing",
+            "another model",
+            "factors reordered",
+            "other strides",
+            "other unused factor",
+        ],
     )
     def test_design_of_another_model_or_factors_rejected(self, case):
-        # each table has the cell count of the design's own table
+        # each table but the last has the cell count of the design's own table
         roch, x3 = rochdale(), example3x3x3()
         paper = "|ad|ae|be|ce|ef|acg|dg|fg|bdh|"
         renamed = ContingencyTable(tuple(FactorSpec(n, f.levels) for n, f in zip("pqrstuvw", roch.factors)), roch.counts)
@@ -383,44 +396,65 @@ class TestFullColumnRank:
                 renamed,
                 parse_generators(paper.translate(str.maketrans("abcdefgh", "pqrstuvw"))),
                 build_design(roch, parse_generators(paper)),
-                r"^design column 1 is a1, where the model on this table has p1$",
+                OTHER_FACTORS,
             ),
             "model factor missing": (
                 three_by_nine,
                 parse_generators("[ab][ac][bc]"),
                 build_design(x3, parse_generators("[ab][ac][bc]")),
-                r"^model factor\(s\) \['c'\] not in table$",
+                OTHER_FACTORS,
             ),
             "another model": (
-                ContingencyTable((a, FactorSpec("b", tuple("123456789"))), x3.counts),
+                x3,
                 parse_generators("[a]"),
                 build_design(x3, parse_generators("[ab][ac][bc]")),
-                r"^design has 19 columns but the model on this table has 3$",
+                OTHER_TERMS,
             ),
             "factors reordered": (
                 reordered,
                 parse_generators("[a][b][c]"),
                 build_design(x3, parse_generators("[a][b][c]")),
-                r"^design rows are not in this table's cell order$",
+                OTHER_FACTORS,
             ),
             "other strides": (
-                # factor b steps every 3 cells here and every 2 in the design's
-                # table, where cell 3 is also at b's second level
+                # factor b steps every 3 cells here and every 2 in the design's table
                 make_table((2, 2, 3), np.arange(1, 13)),
                 parse_generators("[b]"),
                 build_design(make_table((3, 2, 2), np.arange(1, 13)), parse_generators("[b]")),
-                r"^design rows are not in this table's cell order$",
+                OTHER_FACTORS,
+            ),
+            "other unused factor": (
+                # the design's columns and rows would fit this table: only
+                # the factor the model leaves out is another
+                ContingencyTable((FactorSpec("a", ("0", "1")), FactorSpec("c", ("0", "1"))), [1, 2, 3, 4]),
+                parse_generators("[a]"),
+                build_design(make_table((2, 2), [1, 2, 3, 4]), parse_generators("[a]")),
+                OTHER_FACTORS,
             ),
         }[case]
         for call in (find_facial_set, per_cell_oracle, fit):
             with pytest.raises(ValueError, match=message):
                 call(table, model, design=design)
 
+    def test_design_of_equal_terms_accepted(self):
+        # the response name is not part of the design
+        table = haberman()
+        design = build_design(table, parse_formula("n ~ a*b + a*c + b*c"))
+        model = parse_formula("freq ~ a*b + a*c + b*c")
+        fs = find_facial_set(table, model, design=design)
+        assert np.array_equal(per_cell_oracle(table, model, design=design).in_face, fs.in_face)
+        got = fit(table, model, fs, design=design)
+        assert np.array_equal(got.fitted_means, fit(table, model, fs).fitted_means)
+
     def test_design_checked_by_value(self):
-        # labels made anew, after the cache that build_design shares, still match
-        table, model = rochdale(), parse_generators("|ad|ae|be|ce|ef|acg|dg|fg|bdh|")
-        design = build_design(table, model)
+        # a table and model built anew match the design's factors and
+        # terms, and the fit's columns are made anew after the cache
+        # that build_design shares
+        generators = "|ad|ae|be|ce|ef|acg|dg|fg|bdh|"
+        design = build_design(rochdale(), parse_generators(generators))
         design_columns.cache_clear()
+        table, model = rochdale(), parse_generators(generators)
+        assert table.factors is not design.factors and model is not design.model
         fs = find_facial_set(table, model, design=design)
         assert fit(table, model, fs, design=design).face_dimension == 22
 

@@ -23,6 +23,7 @@ from sparseloglin.formula import ModelFormula, Term, hierarchical_closure
 from sparseloglin.lp import SUPPORT_TOL, LinearProgram, solve
 
 from conftest import (
+    cell_labels,
     highs_facial_set,
     iter_instances,
     make_table,
@@ -108,7 +109,7 @@ class Test3x3x3:
         assert fs3.face_dimension == 18
 
     def test_excluded_six_cells(self, fs3, table3x3x3):
-        labels = list(zip(*table3x3x3.label_columns()))
+        labels = cell_labels(table3x3x3)
         excluded = {"".join(labels[i]) for i in np.flatnonzero(~fs3.in_face)}
         assert excluded == {"111", "211", "322", "332", "323", "333"}
 

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -20,8 +21,8 @@ from sparseloglin import (
 )
 
 from sparseloglin import datasets
-from sparseloglin.design import design_columns
-from sparseloglin.fit import _margins, _newton
+from sparseloglin.design import _margins, design_columns
+from sparseloglin.fit import _newton
 
 from conftest import iter_instances, make_table, moment_residual, relabel
 from test_faces import PAPER_MODELS
@@ -270,6 +271,16 @@ class TestExistenceSplit:
                 continue
             res = fit(table, model)
             assert res.fitted_means.min() > 1e-10
+
+    def test_facial_set_hint_only_for_a_fit_on_all_cells(self, haberman_table, monkeypatch):
+        # a caller who passed the face is not told to pass it
+        monkeypatch.setattr(importlib.import_module("sparseloglin.fit"), "NEWTON_ITER_CAP", 1)
+        model = parse_generators("[ab][ac][bc]")
+        failure = r"^fit hit the 1-iteration cap after 1 iterations \(grad norm [^)]*\)"
+        with pytest.raises(FitError, match=failure + "$"):
+            fit(haberman_table, model, find_facial_set(haberman_table, model))
+        with pytest.raises(FitError, match=failure + "; if the MLE may not exist, fit on the facial set$"):
+            fit(haberman_table, model)
 
 
 class TestConsistencyErrors:

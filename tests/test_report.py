@@ -29,7 +29,7 @@ from sparseloglin import cli
 from sparseloglin.datasets import example3x3x3, haberman, rochdale
 from sparseloglin.report import build_report, render_json, render_text
 
-from conftest import table_csv
+from conftest import cell_labels, table_csv
 from test_faces import PAPER_MODELS
 
 
@@ -38,18 +38,13 @@ def json_reference(report):
     return json.dumps(report, indent=2) + "\n"
 
 
-def cell_labels_reference(table):
-    """One tuple per cell, built cell by cell from its coordinates."""
-    return [tuple(f.levels[c] for f, c in zip(table.factors, coords)) for coords in table.cell_coords()]
-
-
 def _jsonable(value):
     return None if not math.isfinite(value) else value
 
 
 def report_reference(report, table, facial_set, fit_result):
     """``report`` with its per-cell parts rebuilt one cell at a time."""
-    labels = cell_labels_reference(table)
+    labels = cell_labels(table)
     face = [
         {
             "levels": [str(x) for x in labels[i]],
@@ -264,23 +259,6 @@ class TestBuildReport:
 
 
 class TestCellLabels:
-    @pytest.mark.parametrize(
-        "levels",
-        [
-            [("0", "1"), ("x", "y", "z")],
-            [(3, 1, 2), ("lo", "hi"), (10, 20, 30, 40)],
-            [("a", "b"), (0, 1), ("p", "q", "r"), (True, False)],
-        ],
-    )
-    def test_equals_per_cell_reference(self, levels):
-        factors = tuple(FactorSpec(f"f{k}", tuple(lv)) for k, lv in enumerate(levels))
-        table = ContingencyTable(factors, np.arange(math.prod(len(lv) for lv in levels)))
-        got = list(zip(*table.label_columns()))
-        want = cell_labels_reference(table)
-        assert got == want
-        assert [tuple(map(type, g)) for g in got] == [tuple(map(type, w)) for w in want]
-        assert table.label_columns(str) == [list(col) for col in zip(*([str(x) for x in w] for w in want))]
-
     def test_serialize_parse_roundtrip(self):
         # parse_table sorts numeric labels ascending, so these are ascending
         ints = ContingencyTable(
@@ -289,7 +267,7 @@ class TestCellLabels:
         for table in (example3x3x3(), rochdale(), ints):
             back = parse_table(table_csv(table))
             assert back.factor_names == table.factor_names
-            assert back.label_columns() == table.label_columns(str)
+            assert cell_labels(back) == [tuple(map(str, labels)) for labels in cell_labels(table)]
             assert np.array_equal(back.counts, table.counts)
 
 
